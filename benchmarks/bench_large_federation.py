@@ -7,11 +7,12 @@ sweeps n ∈ {10, 50, 100, 250, 500} on the same-size synthetic task at tiny
 scale, running IPSS with the paper's default budget γ(n) = ⌈n·ln n⌉ under
 CI-width stopping, and records the two scaling curves the mode is judged by:
 
-* time-vs-n — wall time per federation size;
-* peak-RSS-vs-n — tracemalloc peak per run (plus ``ru_maxrss`` when the
-  suite runs with ``--peak-rss``), which must grow sub-linearly in the
-  phase-2 stratum size C(n, k*+1): at n=500 the stratum holds ~124k
-  coalitions, the resident plan only ever holds the γ-bounded sample.
+* time-vs-n — wall time per federation size, from an untraced pass;
+* peak-RSS-vs-n — tracemalloc peak of a second, traced pass (plus
+  ``ru_maxrss`` when the suite runs with ``--peak-rss``), which must grow
+  sub-linearly in the phase-2 stratum size C(n, k*+1): at n=500 the stratum
+  holds ~124k coalitions, the resident plan only ever holds the γ-bounded
+  sample.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ def _value_federation(n_clients: int):
 def _sweep(capture_rss: bool):
     rows = []
     for n_clients in CLIENT_COUNTS:
-        row, peak = measure_peak_memory(_value_federation, n_clients)
+        # tracemalloc slows allocation-heavy code several-fold, so the time
+        # comes from an untraced pass and memory from a second, traced one.
+        row = _value_federation(n_clients)
+        traced_row, peak = measure_peak_memory(_value_federation, n_clients)
+        assert traced_row["evaluations"] == row["evaluations"]
         row["peak_traced_bytes"] = peak.traced_bytes
         row["peak_rss_bytes"] = peak.rss_bytes if capture_rss else None
         rows.append(row)

@@ -92,22 +92,32 @@ def encode_state_value(value):
     (dtype-tagged), frozenset coalitions, coalition-keyed and int-keyed dicts
     (order preserved — it is load-bearing for bitwise-reproducible folds),
     plus plain scalars/lists/str-keyed dicts.
+
+    Branches run in order of how often large payloads hit them: plain
+    floats/ints/strs and lists by exact type (``bool`` and numpy scalars are
+    subclasses or lookalikes and fall through to their own branches below),
+    then coalitions and coalition-keyed tables.
     """
+    kind = type(value)
+    if kind is float or kind is int or kind is str or value is None:
+        return value
+    if kind is list:
+        return [encode_state_value(inner) for inner in value]
+    if isinstance(value, frozenset):
+        return {"__t": "fs", "v": sorted(map(int, value))}
     if isinstance(value, np.ndarray):
         return {"__t": "nd", "dtype": str(value.dtype), "v": value.tolist()}
-    if isinstance(value, frozenset):
-        return {"__t": "fs", "v": sorted(int(m) for m in value)}
     if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value):
-            return {key: encode_state_value(inner) for key, inner in value.items()}
-        if all(isinstance(key, frozenset) for key in value):
+        if value and all(isinstance(key, frozenset) for key in value):
             return {
                 "__t": "fsmap",
                 "v": [
-                    [sorted(int(m) for m in key), encode_state_value(inner)]
+                    [sorted(map(int, key)), encode_state_value(inner)]
                     for key, inner in value.items()
                 ],
             }
+        if all(isinstance(key, str) for key in value):
+            return {key: encode_state_value(inner) for key, inner in value.items()}
         if all(isinstance(key, (int, np.integer)) for key in value):
             return {
                 "__t": "imap",

@@ -60,6 +60,7 @@ from repro.experiments.specs import TaskSpec
 from repro.parallel.executors import EXECUTOR_BACKENDS
 from repro.store import StoreLike, fingerprint, resolve_store
 from repro.telemetry import Telemetry
+from repro.utils.jsonio import write_json_atomic
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -363,12 +364,8 @@ class RunReport:
         }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Atomic JSON write: a crash mid-dump must not corrupt the manifest."""
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    os.replace(tmp_path, path)
+#: Atomic compact-JSON write; callers look it up through this module global.
+_write_json = write_json_atomic
 
 
 def load_manifest(run_dir: str) -> Optional[dict]:
@@ -584,7 +581,6 @@ def _execute_cell(
             and checkpoint_every
             and snapshot.chunk_index % checkpoint_every == 0
         ):
-            os.makedirs(os.path.join(run_dir, CHECKPOINTS_DIR), exist_ok=True)
             _write_json(_checkpoint_path(run_dir, cell), snapshot.state.to_dict())
         if on_snapshot is not None:
             on_snapshot(spec, algorithm_name, snapshot)

@@ -25,7 +25,6 @@ What the service adds around that core:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from repro.experiments.pipeline import build_task_algorithm, load_estimator_chec
 from repro.service.ledger import RecordingStore
 from repro.service.models import JobRecord
 from repro.store.base import UtilityStore
+from repro.utils.jsonio import write_json_atomic
 
 CHECKPOINTS_DIR = "checkpoints"
 RESULTS_DIR = "results"
@@ -76,12 +76,8 @@ def drop_checkpoint(state_dir: str, job_id: str) -> None:
         os.remove(path)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
+#: Atomic compact-JSON write; callers look it up through this module global.
+_write_json = write_json_atomic
 
 
 def run_job(

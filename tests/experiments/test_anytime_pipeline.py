@@ -161,6 +161,41 @@ class TestMidCellCheckpointResume:
         report = resume_run(run_dir)
         assert report.cells_run == 2
 
+    def test_indented_checkpoint_from_older_writer_resumes_bitwise(self, tmp_path):
+        # Checkpoints used to be written with indent=2; a run interrupted
+        # under that writer must still continue mid-phase-2 after an upgrade.
+        plan = _plan(algorithms=("IPSS",), n_clients=40)
+
+        def interrupt_mid_phase_two(spec, algorithm, snapshot):
+            if snapshot.state.payload["partial_evaluated"] >= 48:
+                raise KeyboardInterrupt
+
+        run_dir = str(tmp_path / "interrupted")
+        with MemoryUtilityStore() as store:
+            with pytest.raises(KeyboardInterrupt):
+                run_plan(
+                    plan, run_dir, store=store, on_snapshot=interrupt_mid_phase_two
+                )
+            (name,) = os.listdir(os.path.join(run_dir, CHECKPOINTS_DIR))
+            path = os.path.join(run_dir, CHECKPOINTS_DIR, name)
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            assert "\n" not in text  # written compact
+            state = json.loads(text)
+            payload = state["payload"]
+            assert 0 < payload["partial_evaluated"] < payload["partial_count"]
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(state, handle, indent=2, sort_keys=True)
+
+            report = resume_run(run_dir, store=store)
+        assert report.cells_continued == 1
+
+        reference_dir = str(tmp_path / "reference")
+        with MemoryUtilityStore() as store:
+            reference = run_plan(plan, reference_dir, store=store)
+        assert _cell_values(run_dir) == _cell_values(reference_dir)
+        assert state["evaluations"] + report.fl_trainings == reference.fl_trainings
+
     def test_checkpoint_every_zero_disables_checkpoints(self, tmp_path):
         run_dir = str(tmp_path / "nocp")
         with pytest.raises(KeyboardInterrupt):
