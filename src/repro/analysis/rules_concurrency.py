@@ -145,7 +145,8 @@ class UnlockedSharedMutation(Rule):
     ``with <lock>:`` block.  ``__init__``/``__post_init__`` run before the
     object is shared and are exempt, and a helper whose docstring states the
     convention "caller must hold the lock" transfers the obligation to its
-    callers (the :class:`repro.utils.cache.UtilityCache` idiom).
+    callers (the idiom of :class:`repro.service.ledger.RecordingStore`'s
+    ``_read``/``_write`` helpers).
     """
 
     code = "RPR006"

@@ -1,20 +1,17 @@
 """Coalition utility oracles.
 
 Every sampling-based valuation algorithm in :mod:`repro.core` is written
-against a single callable interface: ``utility(coalition) -> float``.  The
-classes here implement that interface on top of the FL simulator, add
-memoisation (training the same coalition twice would be wasted work) and keep
-a count of how many FL trainings were actually performed — the
-hardware-independent cost model used in EXPERIMENTS.md alongside wall-clock
-times.
-
-Both oracles also speak the *batch-oracle protocol*
-(``evaluate_batch(coalitions) -> {coalition: utility}``): algorithms hand over
-their whole coalition plan at once and :class:`CoalitionUtility` trains the
-cache misses concurrently when ``n_workers > 1`` (see
-:mod:`repro.parallel`).  Per-coalition training seeds are content-derived and
-collision-resistant, so parallel evaluation returns bitwise-identical
-utilities to serial execution.
+against a single callable interface: ``utility(coalition) -> float``.
+:class:`CoalitionUtility` implements it on top of the FL simulator: it is a
+:class:`~repro.parallel.batch_oracle.BatchUtilityOracle` whose evaluator is
+:meth:`FederatedTrainer.utility`, so it memoises coalitions (training the
+same coalition twice would be wasted work), counts the FL trainings actually
+performed — the hardware-independent cost model used in EXPERIMENTS.md
+alongside wall-clock times — and speaks the *batch-oracle protocol*
+(``evaluate_batch(coalitions) -> {coalition: utility}``), training misses
+concurrently when ``n_workers > 1`` (see :mod:`repro.parallel`).
+Per-coalition training seeds are content-derived and collision-resistant, so
+parallel evaluation returns bitwise-identical utilities to serial execution.
 """
 
 from __future__ import annotations
@@ -26,12 +23,12 @@ from repro.fl.config import FLConfig
 from repro.fl.federation import FederatedTrainer, ModelFactory
 from repro.parallel.batch_oracle import BatchUtilityOracle, coalition_batch_keys
 from repro.parallel.executors import ExecutorLike
-from repro.store import StoreLike, UtilityStore
+from repro.store import StoreLike
 from repro.utils.rng import SeedLike
 
 
-class CoalitionUtility:
-    """Cached utility oracle ``U(S)`` backed by federated training.
+class CoalitionUtility(BatchUtilityOracle):
+    """Memoised utility oracle ``U(S)`` backed by federated training.
 
     Parameters
     ----------
@@ -45,14 +42,10 @@ class CoalitionUtility:
         FL training configuration.
     seed:
         Base seed making coalition training deterministic.
-    artificial_cost:
-        Optional per-evaluation time (seconds) that experiments can use to
-        model the paper's much larger per-coalition training cost τ without
-        actually sleeping; exposed via :attr:`modeled_time`.
     n_workers:
         Concurrency level for batched evaluations (``evaluate_batch``): with
-        ``n_workers > 1`` cache misses inside a batch are trained in parallel
-        on the chosen executor.  ``1`` (default) stays strictly sequential.
+        ``n_workers > 1`` misses inside a batch are trained in parallel on
+        the chosen executor.  ``1`` (default) stays strictly sequential.
     executor:
         Backend for batched evaluation: ``"serial"``, ``"thread"``,
         ``"process"``, ``"vectorized"``, an existing executor instance, or
@@ -64,7 +57,7 @@ class CoalitionUtility:
         ``docs/performance.md`` for the backend matrix.
     store:
         Optional persistent utility store (instance or path) beneath the
-        cache: trained utilities are written through and survive the process,
+        memo: trained utilities are written through and survive the process,
         so a rerun — or a sibling worker process — serves them with zero FL
         trainings.  See :mod:`repro.store`.
     store_namespace:
@@ -87,7 +80,6 @@ class CoalitionUtility:
         model_factory: ModelFactory,
         config: Optional[FLConfig] = None,
         seed: SeedLike = 0,
-        artificial_cost: float = 0.0,
         n_workers: int = 1,
         executor: ExecutorLike = None,
         store: StoreLike = None,
@@ -102,138 +94,16 @@ class CoalitionUtility:
             seed=seed,
             client_dropout=client_dropout,
         )
-        self._oracle = BatchUtilityOracle(
-            evaluator=self.trainer.utility,
+        # The bare bound method: the vectorized backend finds its trainer
+        # through it, so it must not be wrapped.
+        super().__init__(
+            self.trainer.utility,
             n_clients=self.trainer.n_clients,
             n_workers=n_workers,
             executor=executor,
             store=store,
             store_namespace=store_namespace,
         )
-        self.artificial_cost = float(artificial_cost)
-
-    # ------------------------------------------------------------------ #
-    # Oracle interface
-    # ------------------------------------------------------------------ #
-    @property
-    def n_clients(self) -> int:
-        return self.trainer.n_clients
-
-    def __call__(self, coalition: Iterable[int]) -> float:
-        return self._oracle.utility(coalition)
-
-    def utility(self, coalition: Iterable[int]) -> float:
-        return self._oracle.utility(coalition)
-
-    def evaluate_batch(
-        self, coalitions: Iterable[Iterable[int]]
-    ) -> dict[frozenset, float]:
-        """Batch-oracle protocol: evaluate a coalition set, misses in parallel."""
-        return self._oracle.evaluate_batch(coalitions)
-
-    # ------------------------------------------------------------------ #
-    # Parallelism
-    # ------------------------------------------------------------------ #
-    @property
-    def n_workers(self) -> int:
-        return self._oracle.n_workers
-
-    @property
-    def executor(self):
-        """The active :class:`~repro.parallel.executors.CoalitionExecutor`."""
-        return self._oracle.executor
-
-    @property
-    def backend(self) -> str:
-        """Registry name of the active executor backend (e.g. ``"serial"``)."""
-        return self._oracle.backend
-
-    def set_n_workers(self, n_workers: int, executor: ExecutorLike = None) -> None:
-        """Reconfigure batch-evaluation concurrency (and optionally backend)."""
-        self._oracle.set_n_workers(n_workers, executor)
-
-    # ------------------------------------------------------------------ #
-    # Telemetry
-    # ------------------------------------------------------------------ #
-    @property
-    def telemetry(self):
-        """The attached :class:`~repro.telemetry.Telemetry` handle, if any."""
-        return self._oracle.telemetry
-
-    def set_telemetry(self, telemetry) -> None:
-        """Attach (or detach with ``None``) telemetry across the oracle stack.
-
-        Forwards to :meth:`BatchUtilityOracle.set_telemetry`: the cache, the
-        executor and (when attached) the persistent store all pick it up.
-        Observational only — values, seeds and store keys are unaffected.
-        """
-        self._oracle.set_telemetry(telemetry)
-        if self._oracle.store is not None:
-            self._oracle.store.set_telemetry(telemetry)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    @property
-    def store(self) -> Optional[UtilityStore]:
-        """The attached persistent utility store, if any."""
-        return self._oracle.store
-
-    def attach_store(self, store: StoreLike, namespace: Optional[str] = None) -> None:
-        """Attach (or detach, with ``None``) a persistent utility store."""
-        self._oracle.attach_store(store, namespace)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release worker pools and any store handle this oracle opened.
-
-        Deterministic teardown matters for the persistent store (a SQLite
-        WAL checkpoint, JSONL file handles) and process pools; prefer the
-        context-manager form ``with CoalitionUtility(...) as u: ...``.
-        """
-        self._oracle.close()
-
-    def __enter__(self) -> "CoalitionUtility":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Cost accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def evaluations(self) -> int:
-        """Number of coalition FL trainings performed so far."""
-        return self._oracle.evaluations
-
-    @property
-    def cache_hits(self) -> int:
-        return self._oracle.cache_hits
-
-    @property
-    def store_hits(self) -> int:
-        """Utilities served by the persistent store (zero trainings each)."""
-        return self._oracle.store_hits
-
-    @property
-    def batch_counts(self) -> dict[str, int]:
-        """Batches dispatched per executor backend (see the oracle)."""
-        return self._oracle.batch_counts
-
-    @property
-    def modeled_time(self) -> float:
-        """Evaluations × artificial per-coalition cost (a τ·count cost model)."""
-        return self.evaluations * self.artificial_cost
-
-    def reset_cache(self) -> None:
-        self._oracle.reset_cache()
-
-    def snapshot_evaluations(self) -> int:
-        """Convenience for measuring the evaluations used by one algorithm run."""
-        return self.evaluations
 
 
 class TabularUtility:

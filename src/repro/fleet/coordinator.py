@@ -9,11 +9,10 @@ it, and reads the resulting utilities back out of the shared persistent
 because per-coalition seeds are content-derived — *which process* trains a
 coalition cannot change what it trains.
 
-``shares_memory`` is ``False``: like the process and vectorized backends the
-executor receives only cache/store misses through the oracle's
-partition/deposit protocol, and the oracle deposits returned values back —
-so ``evaluations`` / ``store_hits`` accounting agrees with every other
-backend by construction.
+Like every backend, the executor receives only the coalitions the oracle's
+memo and store could not serve, and the oracle memoises (and writes through)
+the returned values itself — so ``evaluations`` / ``store_hits`` accounting
+agrees with every other backend by construction.
 
 The executor needs two things wired up before its first batch:
 
@@ -124,7 +123,6 @@ class FleetExecutor(CoalitionExecutor):
         visible (``None`` disables; spawned workers are also respawned).
     """
 
-    shares_memory = False
     name = "fleet"
 
     def __init__(

@@ -11,11 +11,11 @@ not yet deposited.
 
 Dedupe discipline (the zero-duplicated-trainings invariant):
 
-1. before evaluating, the worker looks every coalition up through its
-   cache/store tier — anything a sibling (or a dead predecessor) already
-   deposited is a store hit and is *not* trained again;
-2. utilities are written through to the store as they are computed (the
-   oracle's deposit protocol);
+1. before evaluating, the worker checks every coalition against its
+   oracle's memo and store — anything a sibling (or a dead predecessor)
+   already deposited is a store hit and is *not* trained again;
+2. the oracle writes the batch's utilities through to the store when the
+   batch returns;
 3. only after a coalition's utility is durably in the store is it recorded
    in the queue's trainings ledger.
 
@@ -259,10 +259,10 @@ def _serve_claim(
         claim_span.__enter__()
     heartbeat = _Heartbeat(queue, claim, stats.worker_id, lease_seconds)
     try:
-        cache = context.oracle.cache
         # Anything already deposited (a sibling, or this batch's dead former
-        # owner) is a store hit here and will not be trained below.
-        missing = [c for c in claim.coalitions if cache.lookup(c) is None]
+        # owner) is a store hit below and will not be trained; the membership
+        # check counts nothing, so evaluate_batch's accounting stays exact.
+        missing = [c for c in claim.coalitions if c not in context.oracle]
         stats.store_hits += len(claim.coalitions) - len(missing)
         batch_span = context.span(
             "fleet.batch", batch=claim.batch_id, backend=backend,

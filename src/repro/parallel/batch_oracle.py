@@ -1,12 +1,22 @@
-"""Batched coalition-utility evaluation.
+"""The coalition-utility oracle: memo, single-flight, store tier, executor.
 
-:class:`BatchUtilityOracle` is the library's batch-oracle protocol in one
-class: it is a drop-in utility oracle (``oracle(coalition) -> float`` with
-``evaluations`` / ``n_clients``) that additionally accepts whole *sets* of
-coalitions at once through :meth:`evaluate_batch`.  A batch is deduplicated,
-checked against a concurrency-safe :class:`~repro.utils.cache.UtilityCache`,
-and the misses are trained concurrently on a pluggable executor (serial,
-thread pool or process pool — see :mod:`repro.parallel.executors`).
+Training an FL model for a coalition is the dominant cost of every valuation
+algorithm (the paper's τ), so :class:`BatchUtilityOracle` is the one place
+that decides whether a coalition is trained.  It is a drop-in utility oracle
+(``oracle(coalition) -> float``) that also accepts whole coalition sets
+through :meth:`evaluate_batch`.  Every lookup, on every backend, follows one
+path:
+
+1. under the lock, each key is a memo hit, a wait on another caller's claim,
+   or a new claim — so concurrent callers never train a coalition twice;
+2. the persistent store (if any) is read for the claimed keys;
+3. the misses go to ``executor.map_utilities`` in one call (a single
+   ``oracle(c)`` lookup always evaluates inline, on a serial executor);
+4. trained values are written through to the store, then all land in the memo;
+5. the claims are released, waking any waiters.
+
+A batch that fails in steps 2-4 keeps nothing (no memo entry, no count) and
+still releases its claims, so the next call retries fresh.
 
 Batch-oracle protocol
 ---------------------
@@ -27,6 +37,8 @@ which worker trains a coalition, or in which order, it trains the same model.
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.parallel.executors import (
@@ -37,9 +49,11 @@ from repro.parallel.executors import (
     ThreadPoolExecutor,
     make_executor,
 )
-from repro.store import StoreLike, UtilityStore, resolve_store
+from repro.store import StoreLike, UtilityStore, resolve_store, utility_key
 from repro.telemetry import SIZE_BUCKETS, Telemetry
-from repro.utils.cache import UtilityCache
+
+#: sentinel distinguishing "absent" from a memoised value
+_MISSING = object()
 
 
 def coalition_batch_keys(coalitions: Iterable[Iterable[int]]) -> list[frozenset]:
@@ -50,51 +64,62 @@ def coalition_batch_keys(coalitions: Iterable[Iterable[int]]) -> list[frozenset]
     return list(ordered)
 
 
+@dataclass
+class Accounting:
+    """One oracle's cost record, the hardware-independent cost model.
+
+    ``evaluations`` counts the FL trainings whose results were kept; ``hits``
+    and ``store_hits`` count lookups served by the memo and by the store
+    (zero trainings each); ``batch_counts`` counts batches per backend.
+    """
+
+    hits: int = 0
+    evaluations: int = 0
+    store_hits: int = 0
+    batch_counts: dict[str, int] = field(default_factory=dict)
+
+
 class BatchUtilityOracle:
-    """Cached, batch-capable, optionally parallel utility oracle ``U(S)``.
+    """Memoised, batch-capable, optionally parallel utility oracle ``U(S)``.
 
     Parameters
     ----------
     evaluator:
         Callable mapping a coalition (``frozenset``) to its utility — e.g.
-        ``FederatedTrainer.utility`` or any plain game function.  May itself
-        be another oracle; its own caching is simply never hit twice for the
-        same coalition thanks to this oracle's cache.
+        ``FederatedTrainer.utility`` or any plain game function.
     n_clients:
         Number of clients; inferred from ``evaluator.n_clients`` when absent.
     n_workers:
-        Concurrency level for cache misses inside a batch.  ``1`` (default)
-        keeps evaluation strictly sequential.
+        Concurrency level for misses inside a batch.  ``1`` (default) keeps
+        evaluation strictly sequential.
     executor:
         Backend name (``"serial"``/``"thread"``/``"process"``/
         ``"vectorized"``), an existing
         :class:`~repro.parallel.executors.CoalitionExecutor`, or ``None`` to
         choose automatically from ``n_workers``.  Process pools require a
         picklable evaluator; the vectorized backend trains miss batches in
-        lockstep on stacked parameters when the evaluator is backed by a
-        :class:`~repro.fl.federation.FederatedTrainer` with a
+        lockstep on stacked parameters when the evaluator is a bound
+        :class:`~repro.fl.federation.FederatedTrainer` method with a
         vectorization-capable model (and falls back to the serial loop
         otherwise — see ``docs/performance.md``).
-    cache:
-        Optional pre-existing :class:`UtilityCache` to share; by default the
-        oracle owns a fresh unbounded one.
     store:
-        Optional persistent tier beneath the cache: a
+        Optional persistent tier beneath the memo: a
         :class:`~repro.store.UtilityStore` instance (caller keeps ownership)
-        or a path (opened here, closed by :meth:`close`).  Memory misses
-        consult it before training and evaluated utilities are written
+        or a path (opened here, closed by :meth:`close`).  Memo misses
+        consult it before training and trained utilities are written
         through, so separate processes sharing a store never train the same
         coalition twice.
     store_namespace:
         Content-address namespace (task fingerprint) for this oracle's
         coalitions; required to be collision-free across different tasks.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` handle.  When present,
-        batches run inside ``oracle.batch`` spans, batch sizes feed the
-        ``executor.batch_size`` histogram, the cache records hit/miss/latency
-        metrics, and process-backend workers emit per-evaluation spans into
-        the run journal.  ``None`` (default) disables all of it; telemetry
-        never influences values, ordering, seeds or store keys.
+        Optional :class:`~repro.telemetry.Telemetry` handle, passed on to the
+        executor and the store.  When present, batches run inside
+        ``oracle.batch`` spans, batch sizes feed the ``executor.batch_size``
+        histogram, lookups count ``cache.hit``/``store.hit``/``store.miss``,
+        and process-backend workers emit per-evaluation spans into the run
+        journal.  ``None`` (default) disables all of it; telemetry never
+        influences values, ordering, seeds or store keys.
     """
 
     def __init__(
@@ -103,7 +128,6 @@ class BatchUtilityOracle:
         n_clients: Optional[int] = None,
         n_workers: int = 1,
         executor: ExecutorLike = None,
-        cache: Optional[UtilityCache] = None,
         store: StoreLike = None,
         store_namespace: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
@@ -112,19 +136,25 @@ class BatchUtilityOracle:
             n_clients = getattr(evaluator, "n_clients", None)
         self._n_clients = None if n_clients is None else int(n_clients)
         self._evaluator = evaluator
-        self._cache = cache if cache is not None else UtilityCache(evaluator=evaluator)
+        self._lock = threading.Lock()
+        self._memo: dict[frozenset, float] = {}
+        self._in_flight: dict[frozenset, threading.Event] = {}
+        self._accounting = Accounting()
+        # Single lookups evaluate inline, whatever the batch backend: one
+        # coalition never goes to a process pool or the vectorized engine.
+        self._inline = SerialExecutor()
+        self._executor: Optional[CoalitionExecutor] = None
+        self._store: Optional[UtilityStore] = None
         self._owns_store = False
-        self._telemetry = telemetry
-        self._cache.set_telemetry(telemetry)
-        # Deterministic accounting (not telemetry): batches dispatched per
-        # backend, feeding the CLI report's `accounting` block.
-        self._batch_counts: dict[str, int] = {}
-        if store is not None or store_namespace is not None:
-            self.attach_store(store, store_namespace)
+        self._namespace = "default"
+        self._telemetry: Optional[Telemetry] = None
+        self.attach_store(store, store_namespace)
         self.set_n_workers(n_workers, executor)
+        if telemetry is not None:
+            self.set_telemetry(telemetry)
 
     # ------------------------------------------------------------------ #
-    # Oracle interface (single coalition)
+    # Lookups
     # ------------------------------------------------------------------ #
     @property
     def n_clients(self) -> int:
@@ -136,18 +166,17 @@ class BatchUtilityOracle:
         return self._n_clients
 
     def __call__(self, coalition: Iterable[int]) -> float:
-        return self._cache.utility(coalition)
+        return self.utility(coalition)
 
     def utility(self, coalition: Iterable[int]) -> float:
-        return self._cache.utility(coalition)
+        """Return ``U(M_S)``, evaluating inline and memoising on first use."""
+        key = frozenset(int(c) for c in coalition)
+        return self._resolve([key], self._inline)[key]
 
-    # ------------------------------------------------------------------ #
-    # Batch interface
-    # ------------------------------------------------------------------ #
     def evaluate_batch(
         self, coalitions: Iterable[Iterable[int]]
     ) -> dict[frozenset, float]:
-        """Evaluate a set of coalitions, training cache misses concurrently.
+        """Evaluate a set of coalitions, training the misses on the executor.
 
         Returns ``{coalition: utility}`` with keys in first-appearance input
         order, so callers that fold the results into floating-point sums see
@@ -157,52 +186,104 @@ class BatchUtilityOracle:
         keys = coalition_batch_keys(coalitions)
         if not keys:
             return {}
-        backend = self._executor.name
-        self._batch_counts[backend] = self._batch_counts.get(backend, 0) + 1
+        executor = self._executor
+        with self._lock:
+            counts = self._accounting.batch_counts
+            counts[executor.name] = counts.get(executor.name, 0) + 1
         telemetry = self._telemetry
         if telemetry is None:
-            return self._evaluate_keys(keys)
-        with telemetry.span("oracle.batch", backend=backend, size=len(keys)):
+            return self._resolve(keys, executor)
+        with telemetry.span("oracle.batch", backend=executor.name, size=len(keys)):
             telemetry.observe("executor.batch_size", len(keys), SIZE_BUCKETS)
-            return self._evaluate_keys(keys)
+            return self._resolve(keys, executor)
 
-    def _evaluate_keys(self, keys: list[frozenset]) -> dict[frozenset, float]:
-        if self._executor.shares_memory:
-            # The cache is concurrency-safe and single-flight, so workers can
-            # evaluate straight through it: hits are counted, concurrent
-            # misses of the same coalition (e.g. two overlapping batches)
-            # still train only once.
-            values = self._executor.map_utilities(self._cache.utility, keys)
-            return dict(zip(keys, values))
-        # Partition/deposit protocol (process and vectorized backends):
-        # process workers cannot see the cache, and the vectorized backend
-        # needs the whole miss batch in one call to train it in lockstep —
-        # so split hits from misses here and deposit computed utilities back.
+    def __contains__(self, coalition: Iterable[int]) -> bool:
+        """Whether the memo or the store holds ``coalition``; counts nothing."""
+        key = frozenset(int(c) for c in coalition)
+        with self._lock:
+            if key in self._memo:
+                return True
+            store, namespace = self._store, self._namespace
+        return store is not None and utility_key(namespace, key) in store
+
+    def _resolve(
+        self, keys: list[frozenset], executor: CoalitionExecutor
+    ) -> dict[frozenset, float]:
         results: dict[frozenset, float] = {}
-        pending: list[frozenset] = []
-        for key in keys:
-            cached = self._cache.lookup(key)
-            if cached is None:
-                pending.append(key)
-            else:
-                results[key] = cached
-        if pending:
+        pending = keys
+        while pending:
+            claimed: list[frozenset] = []
+            waiting: list[frozenset] = []
+            events: set[threading.Event] = set()
+            claim = None
+            with self._lock:
+                for key in pending:
+                    value = self._memo.get(key, _MISSING)
+                    if value is not _MISSING:
+                        results[key] = value
+                    elif key in self._in_flight:
+                        waiting.append(key)
+                        events.add(self._in_flight[key])
+                    else:
+                        claim = claim or threading.Event()
+                        claimed.append(key)
+                        self._in_flight[key] = claim
+                hits = len(pending) - len(claimed) - len(waiting)
+                self._accounting.hits += hits
+            self._count("cache.hit", hits)
+            if claimed:
+                try:
+                    results.update(self._fill(claimed, executor))
+                finally:
+                    with self._lock:
+                        for key in claimed:
+                            del self._in_flight[key]
+                    claim.set()
+            # Another caller owns these: once it is done they are memo hits,
+            # or — if it failed — ours to claim on the next pass.
+            for event in events:
+                event.wait()
+            pending = waiting
+        return {key: results[key] for key in keys}
+
+    def _fill(
+        self, keys: list[frozenset], executor: CoalitionExecutor
+    ) -> dict[frozenset, float]:
+        """Resolve claimed keys from the store, then the executor."""
+        store, namespace = self._store, self._namespace
+        stored: dict[frozenset, float] = {}
+        if store is not None:
+            for key in keys:
+                value = store.get(utility_key(namespace, key))
+                if value is not None:
+                    stored[key] = value
+            self._count("store.hit", len(stored))
+            self._count("store.miss", len(keys) - len(stored))
+        misses = [key for key in keys if key not in stored]
+        trained: dict[frozenset, float] = {}
+        if misses:
             evaluator = self._evaluator
-            if self._telemetry is not None and self._executor.name == "process":
+            if self._telemetry is not None and executor.name == "process":
                 # Worker processes cannot reach the tracer, but the journal
                 # pickles down to its path — wrap the evaluator so each
                 # worker evaluation lands as a `worker.eval` span parented
-                # under this batch.  The wrapper returns the evaluator's
-                # float unchanged, so values stay bitwise-identical.
+                # under the current `oracle.batch` span.  The wrapper returns
+                # the evaluator's float unchanged.
                 evaluator = self._telemetry.wrap_worker_evaluator(evaluator)
-            values = self._executor.map_utilities(evaluator, pending)
-            for key, value in zip(pending, values):
-                results[key] = self._cache.store(key, value)
-        return {key: results[key] for key in keys}
+            trained = dict(zip(misses, executor.map_utilities(evaluator, misses)))
+            if store is not None:
+                for key, value in trained.items():
+                    store.put(utility_key(namespace, key), value)
+        with self._lock:
+            self._accounting.store_hits += len(stored)
+            self._accounting.evaluations += len(trained)
+            self._memo.update(stored)
+            self._memo.update(trained)
+        return {**stored, **trained}
 
-    def prefetch(self, coalitions: Iterable[Iterable[int]]) -> None:
-        """Warm the cache for a batch of coalitions (parallel when enabled)."""
-        self.evaluate_batch(coalitions)
+    def _count(self, name: str, amount: int) -> None:
+        if amount and self._telemetry is not None:
+            self._telemetry.count(name, amount)
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -210,6 +291,15 @@ class BatchUtilityOracle:
     @property
     def n_workers(self) -> int:
         return self._n_workers
+
+    @property
+    def executor(self) -> CoalitionExecutor:
+        return self._executor
+
+    @property
+    def backend(self) -> str:
+        """Registry name of the active executor backend (e.g. ``"serial"``)."""
+        return self._executor.name
 
     def set_n_workers(self, n_workers: int, executor: ExecutorLike = None) -> None:
         """Reconfigure the concurrency level (and optionally the backend).
@@ -221,19 +311,21 @@ class BatchUtilityOracle:
         """
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        previous = getattr(self, "_executor", None)
+        previous = self._executor
         if executor is None:
             if type(previous) in (ThreadPoolExecutor, ProcessPoolExecutor):
                 executor = type(previous)(n_workers)
             elif previous is not None and type(previous) is not SerialExecutor:
                 executor = previous  # custom instance: keep verbatim
-        self._n_workers = int(n_workers)
-        self._executor = make_executor(executor, self._n_workers)
-        self._executor.set_telemetry(self._telemetry)
+        resolved = make_executor(executor, n_workers)
+        resolved.set_telemetry(self._telemetry)
         # Store-aware backends (fleet) need the persistent tier's identity to
         # ship work to sibling processes; a no-op for everyone else.
-        self._executor.bind_store(self._cache.persistent, self._cache.namespace)
-        if previous is not None and previous is not self._executor:
+        resolved.bind_store(self._store, self._namespace)
+        with self._lock:
+            self._n_workers = int(n_workers)
+            self._executor = resolved
+        if previous is not None and previous is not resolved:
             previous.close()  # release any worker pool the old backend held
 
     @property
@@ -243,13 +335,17 @@ class BatchUtilityOracle:
     def set_telemetry(self, telemetry: Optional[Telemetry]) -> None:
         """Attach (or detach with ``None``) telemetry across the whole stack.
 
-        Propagates to the cache (hit/miss/latency metrics) and the active
-        executor (vectorized chunk spans).  Purely observational — see the
-        fingerprint-neutrality contract in :mod:`repro.telemetry`.
+        Reaches the lookup counters, the executors (eval latency, vectorized
+        chunk spans) and the attached store (``store.put_bytes``).  Purely
+        observational — see the fingerprint-neutrality contract in
+        :mod:`repro.telemetry`.
         """
-        self._telemetry = telemetry
-        self._cache.set_telemetry(telemetry)
+        with self._lock:
+            self._telemetry = telemetry
+        self._inline.set_telemetry(telemetry)
         self._executor.set_telemetry(telemetry)
+        if self._store is not None:
+            self._store.set_telemetry(telemetry)
 
     def close(self) -> None:
         """Release worker pools and any store handle this oracle opened.
@@ -260,10 +356,8 @@ class BatchUtilityOracle:
         instances belong to the caller and are left open.
         """
         self._executor.close()
-        if self._owns_store and self._cache.persistent is not None:
-            self._cache.persistent.close()
-            self._cache.attach_store(None)
-            self._owns_store = False
+        if self._owns_store:
+            self.attach_store(None)
 
     def __enter__(self) -> "BatchUtilityOracle":
         return self
@@ -271,22 +365,13 @@ class BatchUtilityOracle:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @property
-    def executor(self) -> CoalitionExecutor:
-        return self._executor
-
-    @property
-    def backend(self) -> str:
-        """Registry name of the active executor backend (e.g. ``"serial"``)."""
-        return self._executor.name
-
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
     @property
     def store(self) -> Optional[UtilityStore]:
-        """The persistent tier beneath the cache, if one is attached."""
-        return self._cache.persistent
+        """The persistent tier beneath the memo, if one is attached."""
+        return self._store
 
     def attach_store(
         self, store: StoreLike, namespace: Optional[str] = None
@@ -297,35 +382,37 @@ class BatchUtilityOracle:
         path; paths are opened here and closed by :meth:`close`.  Any
         previously attached store this oracle owned is closed first.
         """
-        if self._owns_store and self._cache.persistent is not None:
-            self._cache.persistent.close()
         resolved, owned = resolve_store(store)
-        self._owns_store = owned
-        self._cache.attach_store(resolved, namespace)
-        if getattr(self, "_executor", None) is not None:
+        if resolved is not None and self._telemetry is not None:
+            resolved.set_telemetry(self._telemetry)
+        with self._lock:
+            previous = self._store if self._owns_store else None
+            self._store, self._owns_store = resolved, owned
+            if namespace is not None:
+                self._namespace = namespace
+        if previous is not None and previous is not resolved:
+            previous.close()
+        if self._executor is not None:
             # Keep store-aware backends (fleet) pointed at the live tier.
-            self._executor.bind_store(self._cache.persistent, self._cache.namespace)
+            self._executor.bind_store(self._store, self._namespace)
 
     # ------------------------------------------------------------------ #
     # Cost accounting
     # ------------------------------------------------------------------ #
     @property
-    def cache(self) -> UtilityCache:
-        return self._cache
-
-    @property
     def evaluations(self) -> int:
         """Number of evaluator calls (FL trainings) performed so far."""
-        return self._cache.evaluations
+        return self._accounting.evaluations
 
     @property
     def cache_hits(self) -> int:
-        return self._cache.stats.hits
+        """Lookups served by the in-memory memo."""
+        return self._accounting.hits
 
     @property
     def store_hits(self) -> int:
         """Lookups served by the persistent tier (zero trainings each)."""
-        return self._cache.stats.store_hits
+        return self._accounting.store_hits
 
     @property
     def batch_counts(self) -> dict[str, int]:
@@ -334,8 +421,15 @@ class BatchUtilityOracle:
         Plain deterministic accounting (kept even with telemetry disabled);
         survives :meth:`reset_cache` so a multi-cell run reports totals.
         """
-        return dict(self._batch_counts)
+        with self._lock:
+            return dict(self._accounting.batch_counts)
 
     def reset_cache(self) -> None:
-        """Drop the in-memory tier (the persistent store, if any, survives)."""
-        self._cache.clear()
+        """Drop the memo and zero all counters but ``batch_counts``.
+
+        The store survives: this isolates per-algorithm cost accounting, so
+        dropped entries reload as ``store_hits``, not re-evaluations.
+        """
+        with self._lock:
+            self._memo.clear()
+            self._accounting = Accounting(batch_counts=self._accounting.batch_counts)

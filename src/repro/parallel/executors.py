@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import abc
 import concurrent.futures
+import functools
+import time
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,17 +54,9 @@ EXECUTOR_BACKENDS = ("serial", "thread", "process", "vectorized", "fleet")
 class CoalitionExecutor(abc.ABC):
     """Maps an evaluator over coalitions, preserving input order.
 
-    Attributes
-    ----------
-    shares_memory:
-        Whether workers see the caller's address space.  Shared-memory
-        backends (serial, thread) can evaluate through a
-        :class:`~repro.utils.cache.UtilityCache` directly and get
-        single-flight deduplication for free; process backends must have
-        results deposited back into the cache by the parent.
+    The oracle hands every backend the same thing: only the coalitions that
+    neither its memo nor its store could serve, in one call per batch.
     """
-
-    shares_memory: bool = True
 
     #: registry name of the backend (``EXECUTOR_BACKENDS`` entry); custom
     #: executors may leave the default
@@ -90,7 +84,7 @@ class CoalitionExecutor(abc.ABC):
         """Receive the oracle's persistent store and namespace.
 
         The oracle calls this whenever executor or store change.  Most
-        backends ignore it (they see deposits through the oracle's cache);
+        backends ignore it (the oracle reads and writes the store itself);
         the fleet backend needs it to ship the store's location to worker
         processes and to read results back.  Observational for everyone
         else — the base implementation is a no-op.
@@ -100,15 +94,24 @@ class CoalitionExecutor(abc.ABC):
         """Release any worker resources (no-op for stateless executors)."""
 
 
+def _timed(evaluator: Evaluator, telemetry: "Telemetry", coalition: frozenset) -> float:
+    """One in-process evaluation, observed as ``utility.eval_seconds``."""
+    start = time.perf_counter()
+    value = float(evaluator(coalition))
+    telemetry.observe("utility.eval_seconds", time.perf_counter() - start)
+    return value
+
+
 class SerialExecutor(CoalitionExecutor):
     """Sequential reference backend: a plain loop, no worker overhead."""
 
-    shares_memory = True
     name = "serial"
 
     def map_utilities(
         self, evaluator: Evaluator, coalitions: Sequence[frozenset]
     ) -> list[float]:
+        if self.telemetry is not None:
+            evaluator = functools.partial(_timed, evaluator, self.telemetry)
         return [float(evaluator(coalition)) for coalition in coalitions]
 
 
@@ -155,9 +158,15 @@ class _PooledExecutor(CoalitionExecutor):
 class ThreadPoolExecutor(_PooledExecutor):
     """Evaluates coalitions concurrently in a persistent thread pool."""
 
-    shares_memory = True
     name = "thread"
     _pool_factory = concurrent.futures.ThreadPoolExecutor
+
+    def map_utilities(
+        self, evaluator: Evaluator, coalitions: Sequence[frozenset]
+    ) -> list[float]:
+        if self.telemetry is not None:
+            evaluator = functools.partial(_timed, evaluator, self.telemetry)
+        return super().map_utilities(evaluator, coalitions)
 
 
 class ProcessPoolExecutor(_PooledExecutor):
@@ -169,7 +178,6 @@ class ProcessPoolExecutor(_PooledExecutor):
     utilities travel back.
     """
 
-    shares_memory = False
     name = "process"
     _pool_factory = concurrent.futures.ProcessPoolExecutor
 
@@ -186,10 +194,10 @@ class VectorizedExecutor(CoalitionExecutor):
     :class:`~repro.fl.utility.CoalitionUtility` wires into its oracle), so
     the backend is a drop-in choice next to serial/thread/process.
 
-    ``shares_memory`` is ``False``: like the process pool, this backend must
-    receive whole *miss* batches through the oracle's partition/deposit
-    protocol — routing per-coalition calls through the cache would dissolve
-    the very batches it vectorizes over.
+    The evaluator must be the *bare* bound method: any wrapper hides the
+    trainer and quietly selects the serial fallback.  So the oracle hands
+    it over unwrapped, and per-evaluation timing (``utility.eval_seconds``) lives in
+    the serial and thread executors instead.
 
     Evaluators the engine cannot vectorize (plain game functions,
     non-parametric or kernel-less models, ``client_fraction < 1``) fall back
@@ -198,7 +206,6 @@ class VectorizedExecutor(CoalitionExecutor):
     silently measure the fallback).
     """
 
-    shares_memory = False
     name = "vectorized"
 
     def __init__(

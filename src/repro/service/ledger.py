@@ -9,7 +9,7 @@ invariant: ``COUNT(*) == COUNT(DISTINCT key)`` across all jobs, tenants and
 restarts.
 
 The proxy is a real :class:`UtilityStore` subclass (not a duck type) because
-:func:`repro.parallel.batch_oracle.resolve_store` type-checks stores it is
+:func:`repro.store.resolve_store` type-checks stores it is
 handed — and a subclass correctly inherits the "unowned handle" treatment:
 job teardown must never close the server's shared store, so :meth:`_close`
 is a no-op on the inner store.

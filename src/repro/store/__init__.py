@@ -1,8 +1,9 @@
 """Persistent, content-addressed coalition-utility store.
 
 Training an FL model for a coalition (the paper's cost τ) dominates every
-experiment, and the in-memory :class:`~repro.utils.cache.UtilityCache` dies
-with the process.  This package adds the disk tier beneath it:
+experiment, and the memo of
+:class:`~repro.parallel.batch_oracle.BatchUtilityOracle` dies with the
+process.  This package adds the disk tier beneath it:
 
 * :mod:`repro.store.fingerprint` — stable content fingerprints of task specs
   and coalitions (canonical JSON → SHA-256), so two processes always agree on

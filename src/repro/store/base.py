@@ -2,10 +2,10 @@
 
 A :class:`UtilityStore` maps content-addressed keys (see
 :mod:`repro.store.fingerprint`) to coalition utilities.  It is the disk tier
-beneath the in-memory :class:`~repro.utils.cache.UtilityCache`: values written
-here survive the process, so separate workers — and separate *runs*, days
-apart — share FL-training results instead of re-paying the per-coalition cost
-τ.  Backends must preserve floats bitwise (IEEE-754 doubles round-trip
+beneath the memo of :class:`~repro.parallel.batch_oracle.BatchUtilityOracle`:
+values written here survive the process, so separate workers — and separate
+*runs*, days apart — share FL-training results instead of re-paying the
+per-coalition cost τ.  Backends must preserve floats bitwise (IEEE-754 doubles round-trip
 exactly through both SQLite REAL columns and ``repr``-based JSON), which is
 what makes stored-vs-fresh utilities bitwise-identical.
 

@@ -1,4 +1,4 @@
-"""Shared utilities: coalition combinatorics, caching, RNG control and timing.
+"""Shared utilities: coalition combinatorics, RNG control, timing and validation.
 
 These helpers are intentionally free of any federated-learning or valuation
 logic so that every other subpackage (``repro.core``, ``repro.fl``,
@@ -18,7 +18,6 @@ from repro.utils.combinatorics import (
     random_coalition_of_size,
     random_permutation,
 )
-from repro.utils.cache import UtilityCache
 from repro.utils.rng import RandomState, spawn_rng
 from repro.utils.timer import Timer
 from repro.utils.validation import (
@@ -39,7 +38,6 @@ __all__ = [
     "random_coalition",
     "random_coalition_of_size",
     "random_permutation",
-    "UtilityCache",
     "RandomState",
     "spawn_rng",
     "Timer",

@@ -129,7 +129,7 @@ class TestUnlockedSharedMutation:
         assert findings == []
 
     def test_lock_transfer_docstring_exempts_helper(self, check_source):
-        # The UtilityCache idiom: a private helper documents that its caller
+        # The lock-transfer idiom: a private helper documents that its caller
         # must hold the lock, transferring the obligation up the stack.
         findings = check_source(
             """

@@ -178,14 +178,20 @@ class TestCoalitionUtility:
         utility.reset_cache()
         assert utility.evaluations == 0
 
-    def test_modeled_time(self, federation):
+    def test_is_the_batch_oracle_with_a_trainer(self):
+        """Everything but construction is inherited — in particular
+        ``evaluate_batch``, which the end-to-end benchmark patches on
+        BatchUtilityOracle as the oracle layer."""
+        from repro.parallel import BatchUtilityOracle
+
+        own = [n for n, member in vars(CoalitionUtility).items() if callable(member)]
+        assert own == ["__init__"]
+        assert CoalitionUtility.evaluate_batch is BatchUtilityOracle.evaluate_batch
+
+    def test_evaluator_is_the_bare_trainer_method(self, federation):
         clients, test = federation
-        utility = CoalitionUtility(
-            clients, test, logistic_factory, FLConfig(rounds=2), seed=0, artificial_cost=2.0
-        )
-        utility(frozenset({0}))
-        utility(frozenset({1}))
-        assert utility.modeled_time == pytest.approx(4.0)
+        utility = CoalitionUtility(clients, test, logistic_factory, seed=0)
+        assert utility._evaluator == utility.trainer.utility
 
     def test_n_clients(self, federation):
         clients, test = federation

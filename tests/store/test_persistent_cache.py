@@ -1,10 +1,9 @@
-"""Tests for the persistent tier beneath UtilityCache / BatchUtilityOracle."""
+"""Tests for the persistent tier beneath BatchUtilityOracle's memo."""
 
 import pytest
 
-from repro.parallel import BatchUtilityOracle
+from repro.parallel import BatchUtilityOracle, CoalitionExecutor
 from repro.store import MemoryUtilityStore, SqliteUtilityStore, utility_key
-from repro.utils.cache import UtilityCache
 
 from tests.helpers import monotone_game
 
@@ -22,88 +21,58 @@ class CountingGame:
         return self._game(coalition)
 
 
+def explode(coalition):
+    raise ZeroDivisionError("this oracle must not train")
+
+
 class TestCacheWriteThrough:
     def test_evaluation_writes_through_to_store(self):
         store = MemoryUtilityStore()
         game = CountingGame()
-        cache = UtilityCache(evaluator=game, persistent=store, namespace="t")
-        value = cache.utility([0, 1])
+        oracle = BatchUtilityOracle(game, store=store, store_namespace="t")
+        value = oracle.utility([0, 1])
         assert store.get(utility_key("t", [0, 1])) == value
-        assert cache.stats.misses == 1
-        assert cache.stats.store_hits == 0
+        assert oracle.evaluations == 1
+        assert oracle.store_hits == 0
 
     def test_store_hit_skips_evaluator_and_is_bitwise_identical(self):
         store = MemoryUtilityStore()
         game = CountingGame()
-        first = UtilityCache(evaluator=game, persistent=store, namespace="t")
+        first = BatchUtilityOracle(game, store=store, store_namespace="t")
         fresh_value = first.utility([0, 2])
 
-        exploding = UtilityCache(
-            evaluator=lambda s: 1 / 0, persistent=store, namespace="t"
+        exploding = BatchUtilityOracle(
+            explode, n_clients=4, store=store, store_namespace="t"
         )
         assert exploding.utility([0, 2]) == fresh_value  # bitwise
-        assert exploding.stats.store_hits == 1
-        assert exploding.stats.misses == 0
+        assert exploding.store_hits == 1
         assert exploding.evaluations == 0
 
     def test_namespaces_do_not_alias(self):
         store = MemoryUtilityStore()
         game = CountingGame()
-        a = UtilityCache(evaluator=game, persistent=store, namespace="taskA")
-        b = UtilityCache(evaluator=game, persistent=store, namespace="taskB")
+        a = BatchUtilityOracle(game, store=store, store_namespace="taskA")
+        b = BatchUtilityOracle(game, store=store, store_namespace="taskB")
         a.utility([0, 1])
         b.utility([0, 1])
         assert len(game.calls) == 2  # same coalition, different namespace
 
     def test_hit_accounting_parity_with_memory_only_cache(self):
-        """Same access sequence => identical hits+misses split between tiers,
-        and identical values, whether or not a store is attached."""
+        """Same access sequence => identical hits and evaluations, and
+        identical values, whether or not a store is attached."""
         sequence = [[0], [0, 1], [0], [1, 2], [0, 1], [2], [0]]
-        plain = UtilityCache(evaluator=CountingGame())
-        tiered = UtilityCache(
-            evaluator=CountingGame(), persistent=MemoryUtilityStore(), namespace="t"
+        plain = BatchUtilityOracle(CountingGame())
+        tiered = BatchUtilityOracle(
+            CountingGame(), store=MemoryUtilityStore(), store_namespace="t"
         )
         plain_values = [plain.utility(c) for c in sequence]
         tiered_values = [tiered.utility(c) for c in sequence]
         assert plain_values == tiered_values
-        assert plain.stats.lookups == tiered.stats.lookups
-        assert plain.stats.hits == tiered.stats.hits
-        # a cold store adds nothing: misses match exactly
-        assert plain.stats.misses == tiered.stats.misses
-        assert tiered.stats.store_hits == 0
-
-    def test_clear_preserves_store_so_reload_is_free(self):
-        store = MemoryUtilityStore()
-        game = CountingGame()
-        cache = UtilityCache(evaluator=game, persistent=store, namespace="t")
-        cache.utility([0, 1])
-        cache.clear()
-        cache.utility([0, 1])
-        assert len(game.calls) == 1  # reload came from the store
-        assert cache.stats.store_hits == 1
-
-    def test_eviction_reload_comes_from_store_not_retraining(self):
-        store = MemoryUtilityStore()
-        game = CountingGame()
-        cache = UtilityCache(
-            evaluator=game, max_size=1, persistent=store, namespace="t"
-        )
-        cache.utility([0])
-        cache.utility([1])  # evicts {0} from memory; store still holds it
-        cache.utility([0])
-        assert len(game.calls) == 2
-        assert cache.stats.store_hits == 1
-
-    def test_lookup_and_store_consult_persistent_tier(self):
-        """The process-backend read/write halves must see the disk tier."""
-        store = MemoryUtilityStore()
-        cache = UtilityCache(evaluator=lambda s: 1 / 0, persistent=store, namespace="t")
-        assert cache.lookup([0, 1]) is None
-        store.put(utility_key("t", [0, 1]), 0.625)
-        assert cache.lookup([0, 1]) == 0.625
-        assert cache.stats.store_hits == 1
-        cache.store([2, 3], 0.375)
-        assert store.get(utility_key("t", [2, 3])) == 0.375
+        assert plain.cache_hits == tiered.cache_hits
+        # a cold store adds nothing: evaluations match exactly
+        assert plain.evaluations == tiered.evaluations
+        assert tiered.store_hits == 0
+        assert tiered.cache_hits + tiered.evaluations == len(sequence)
 
 
 class TestOracleStorePlumbing:
@@ -120,33 +89,31 @@ class TestOracleStorePlumbing:
         assert oracle.store_hits == 3
         assert list(repeat) == [frozenset({0}), frozenset({0, 1}), frozenset({1, 2})]
 
-    def test_process_backend_path_uses_store(self):
-        """The lookup/store partition path (shares_memory=False) must serve
-        hits from the persistent tier as well."""
+    def test_batch_only_executor_is_served_by_the_store(self):
+        """A custom batch executor only ever sees store misses, like the
+        process, vectorized and fleet backends."""
         store = MemoryUtilityStore()
         game = CountingGame()
         warm = BatchUtilityOracle(game, store=store, store_namespace="t")
         warm.evaluate_batch([[0, 1], [1, 2]])
 
-        from repro.parallel import CoalitionExecutor
-
-        class NoSharedMemoryExecutor(CoalitionExecutor):
-            shares_memory = False
+        class MapExecutor(CoalitionExecutor):
             n_workers = 1
 
             def map_utilities(self, evaluator, coalitions):
                 return [float(evaluator(c)) for c in coalitions]
 
         cold = BatchUtilityOracle(
-            lambda s: 1 / 0,
+            explode,
             n_clients=4,
-            executor=NoSharedMemoryExecutor(),
+            executor=MapExecutor(),
             store=store,
             store_namespace="t",
         )
         results = cold.evaluate_batch([[0, 1], [1, 2]])
         assert len(results) == 2
         assert cold.evaluations == 0
+        assert cold.store_hits == 2
 
     def test_owned_path_store_closed_on_close(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
@@ -221,21 +188,23 @@ class TestCrossProcessSharing:
 
 class TestStoreFailureIsolation:
     def test_failing_store_put_releases_in_flight_waiters(self):
-        """A store write failure must not leave the coalition's in-flight
-        entry behind — later lookups would deadlock on the unset event."""
+        """A store write failure must not leave the coalition's claim behind
+        — later lookups would deadlock on the unset event."""
 
         class ExplodingStore(MemoryUtilityStore):
             def put(self, key, value):
                 raise OSError("disk full")
 
         game = CountingGame()
-        cache = UtilityCache(evaluator=game, persistent=ExplodingStore(), namespace="t")
+        oracle = BatchUtilityOracle(
+            game, store=ExplodingStore(), store_namespace="t"
+        )
         with pytest.raises(OSError):
-            cache.utility([0, 1])
-        assert cache._in_flight == {}  # released, not leaked
+            oracle.utility([0, 1])
+        assert oracle._in_flight == {}  # released, not leaked
         # The same coalition stays evaluable (no deadlock, no stale event).
-        cache.attach_store(MemoryUtilityStore())
-        assert cache.utility([0, 1]) == game._game([0, 1])
+        oracle.attach_store(MemoryUtilityStore())
+        assert oracle.utility([0, 1]) == game._game([0, 1])
 
     def test_non_finite_values_are_not_persisted(self):
         """NaN utilities (degenerate training) must neither crash the store
@@ -246,9 +215,13 @@ class TestStoreFailureIsolation:
             MemoryUtilityStore(),
             SqliteUtilityStore(":memory:"),
         ):
-            cache = UtilityCache(
-                evaluator=lambda s: float("nan"), persistent=store, namespace="t"
+            oracle = BatchUtilityOracle(
+                nan_utility, n_clients=1, store=store, store_namespace="t"
             )
-            assert math.isnan(cache.utility([0]))  # evaluation still works
+            assert math.isnan(oracle.utility([0]))  # evaluation still works
             assert store.get(utility_key("t", [0])) is None  # nothing persisted
             store.close()
+
+
+def nan_utility(coalition):
+    return float("nan")
