@@ -41,11 +41,9 @@ deadline = time.monotonic() + 90
 while time.monotonic() < deadline:
     with LeaseQueue(queue_dir) as queue:
         pids = {w["worker_id"]: w["pid"] for w in queue.workers()}
-        rows = queue._connection.execute(
-            "SELECT owner FROM batches WHERE status = 'leased' LIMIT 1"
-        ).fetchall()
-        if rows and pids.get(rows[0][0]):
-            print(pids[rows[0][0]])
+        owners = queue.lease_owners()
+        if owners and pids.get(owners[0]):
+            print(pids[owners[0]])
             sys.exit(0)
     time.sleep(0.02)
 sys.exit(3)

@@ -145,7 +145,7 @@ class UnlockedSharedMutation(Rule):
     ``with <lock>:`` block.  ``__init__``/``__post_init__`` run before the
     object is shared and are exempt, and a helper whose docstring states the
     convention "caller must hold the lock" transfers the obligation to its
-    callers (the idiom of :class:`repro.service.ledger.RecordingStore`'s
+    callers (the idiom of :class:`repro.store.sqlite.RecordingStore`'s
     ``_read``/``_write`` helpers).
     """
 

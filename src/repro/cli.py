@@ -132,16 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(each scenario plus its clean counterpart) instead of a single task; "
         "see `repro scenarios list`",
     )
-    # --task/--setup/--n-clients default to None so scenario mode can tell
-    # "left alone" from "explicitly set" and refuse flags it would ignore.
-    run.add_argument(
-        "--task", choices=available_tasks(), help="task kind (default: adult)"
-    )
-    run.add_argument("--setup", choices=SYNTHETIC_SETUPS, help="synthetic tasks only")
-    run.add_argument("--model", default="logistic")
-    run.add_argument("--n-clients", type=int, help="clients per task (default: 3)")
-    run.add_argument("--scale", choices=_SCALE_NAMES, default="tiny")
-    run.add_argument("--seed", type=int, default=0)
+    _add_task_arguments(run)
     run.add_argument(
         "--algorithms",
         help=f"comma-separated names (default: {','.join(DEFAULT_ALGORITHMS)}; "
@@ -277,12 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8310", help="service base URL"
     )
     submit.add_argument("--spec", help="JSON JobSpec file (overrides task flags)")
-    submit.add_argument("--task", choices=available_tasks())
-    submit.add_argument("--setup", choices=SYNTHETIC_SETUPS)
-    submit.add_argument("--model", default="logistic")
-    submit.add_argument("--n-clients", type=int)
-    submit.add_argument("--scale", choices=_SCALE_NAMES, default="tiny")
-    submit.add_argument("--seed", type=int, default=0)
+    _add_task_arguments(submit)
     submit.add_argument(
         "--algorithm",
         default="IPSS",
@@ -410,6 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_arguments(check)
     return parser
+
+
+def _add_task_arguments(parser: argparse.ArgumentParser) -> None:
+    """The one-task flags of ``repro run`` and ``repro submit``."""
+    # --task/--setup/--n-clients default to None so scenario mode can tell
+    # "left alone" from "explicitly set" and refuse flags it would ignore.
+    parser.add_argument(
+        "--task", choices=available_tasks(), help="task kind (default: adult)"
+    )
+    parser.add_argument(
+        "--setup", choices=SYNTHETIC_SETUPS, help="synthetic tasks only"
+    )
+    parser.add_argument("--model", default="logistic")
+    parser.add_argument(
+        "--n-clients", type=int, help="clients per task (default: 3)"
+    )
+    parser.add_argument("--scale", choices=_SCALE_NAMES, default="tiny")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_anytime_arguments(parser: argparse.ArgumentParser) -> None:

@@ -33,6 +33,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -157,6 +158,86 @@ def load_estimator_checkpoint(
     return state
 
 
+def validate_execution(execution) -> None:
+    """Reject bad execution fields of a plan or job spec, naming the field.
+
+    ``execution`` is an :class:`ExperimentPlan` or a
+    :class:`~repro.service.models.JobSpec`: both carry the same six
+    machine-local execution choices (``backend``, ``n_workers``,
+    ``queue_dir``, ``spawn_workers``, ``worker_backend``,
+    ``lease_seconds``), checked here once for both.
+    """
+    if execution.n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {execution.n_workers}")
+    if execution.backend is not None and execution.backend not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"unknown backend {execution.backend!r}; choose from {EXECUTOR_BACKENDS}"
+        )
+    if execution.backend == "fleet" and not execution.queue_dir:
+        raise ValueError(
+            "backend 'fleet' needs a queue directory (queue_dir= / "
+            "--queue-dir) shared with its workers"
+        )
+    if execution.spawn_workers < 0:
+        raise ValueError(
+            f"spawn_workers must be >= 0, got {execution.spawn_workers}"
+        )
+    if execution.lease_seconds <= 0:
+        raise ValueError(
+            f"lease_seconds must be > 0, got {execution.lease_seconds}"
+        )
+    if execution.worker_backend is not None:
+        from repro.fleet.coordinator import WORKER_BACKENDS
+
+        if execution.worker_backend not in WORKER_BACKENDS:
+            raise ValueError(
+                f"worker_backend: unknown worker backend "
+                f"{execution.worker_backend!r}; choose from {WORKER_BACKENDS}"
+            )
+
+
+def build_cell_utility(
+    spec: TaskSpec,
+    store,
+    execution,
+    say: Callable[[str], None],
+    telemetry: Optional[Telemetry] = None,
+):
+    """Build the utility oracle cells of ``spec`` run against.
+
+    ``execution`` (an :class:`ExperimentPlan` or a service ``JobSpec``)
+    supplies the executor choice; see :func:`validate_execution`.  Shared by
+    the pipeline and the service, so a job and a ``repro run`` cell build
+    the same oracle.
+    """
+    utility = spec.build(store)
+    try:
+        if execution.backend == "fleet":
+            # The fleet backend is not name-constructible (it needs the
+            # queue directory), so build the instance here; the oracle's
+            # bind_store hook then ships the store identity to workers.
+            from repro.fleet.coordinator import FleetExecutor
+
+            utility.set_n_workers(
+                execution.n_workers,
+                FleetExecutor(
+                    queue_dir=execution.queue_dir,
+                    spawn_workers=execution.spawn_workers,
+                    worker_backend=execution.worker_backend or "serial",
+                    lease_seconds=execution.lease_seconds,
+                    log=say,
+                ),
+            )
+        elif execution.n_workers > 1 or execution.backend is not None:
+            utility.set_n_workers(execution.n_workers, execution.backend)
+        if telemetry is not None:
+            utility.set_telemetry(telemetry)
+    except BaseException:
+        utility.close()
+        raise
+    return utility
+
+
 def _slug(name: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
 
@@ -209,33 +290,7 @@ class ExperimentPlan:
             raise ValueError(
                 f"unknown algorithms {unknown}; choose from {available_algorithms()}"
             )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.backend is not None and self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {EXECUTOR_BACKENDS}"
-            )
-        if self.backend == "fleet" and not self.queue_dir:
-            raise ValueError(
-                "backend 'fleet' needs a queue directory (queue_dir= / "
-                "--queue-dir) shared with its workers"
-            )
-        if self.spawn_workers < 0:
-            raise ValueError(
-                f"spawn_workers must be >= 0, got {self.spawn_workers}"
-            )
-        if self.lease_seconds <= 0:
-            raise ValueError(
-                f"lease_seconds must be > 0, got {self.lease_seconds}"
-            )
-        if self.worker_backend is not None:
-            from repro.fleet.coordinator import WORKER_BACKENDS
-
-            if self.worker_backend not in WORKER_BACKENDS:
-                raise ValueError(
-                    f"unknown worker backend {self.worker_backend!r}; "
-                    f"choose from {WORKER_BACKENDS}"
-                )
+        validate_execution(self)
 
     def fingerprint(self) -> str:
         """Content address of the plan (tasks + algorithms, not concurrency).
@@ -531,71 +586,61 @@ def resume_run(
 # --------------------------------------------------------------------------- #
 # Cell execution
 # --------------------------------------------------------------------------- #
-def _checkpoint_path(run_dir: str, cell: str) -> str:
-    return os.path.join(run_dir, CHECKPOINTS_DIR, f"{cell}.state.json")
+def checkpoint_path(root: str, cell: str) -> str:
+    """Mid-valuation checkpoint file of one cell (or service job) under ``root``."""
+    return os.path.join(root, CHECKPOINTS_DIR, f"{cell}.state.json")
 
 
-def _load_checkpoint(
-    run_dir: str, cell: str, algorithm, n_clients: int, say: Callable[[str], None]
-) -> Optional[EstimatorState]:
-    """Restore a cell's mid-valuation checkpoint, if one matches."""
-    return load_estimator_checkpoint(
-        _checkpoint_path(run_dir, cell), algorithm, n_clients, say
-    )
-
-
-def _drop_checkpoint(run_dir: str, cell: str) -> None:
-    path = _checkpoint_path(run_dir, cell)
+def drop_checkpoint(root: str, cell: str) -> None:
+    path = checkpoint_path(root, cell)
     if os.path.exists(path):
         os.remove(path)
 
 
-def _execute_cell(
+def execute_cell(
     algorithm,
     utility,
-    spec: TaskSpec,
-    algorithm_name: str,
-    run_dir: str,
-    cell: str,
-    report: RunReport,
+    checkpoint: str,
+    label: str,
     say: Callable[[str], None],
-    stop_rule: Optional[StoppingRule],
-    checkpoint_every: int,
-    on_snapshot,
-):
+    stop_rule: Optional[StoppingRule] = None,
+    checkpoint_every: int = 1,
+    on_snapshot: Optional[Callable[[object], None]] = None,
+) -> tuple:
     """Run one cell through the anytime protocol, checkpointing as it goes.
 
-    The stop-rule loop itself lives in :meth:`ValuationAlgorithm.run` — the
-    single driver of the snapshot stream; this function only contributes the
-    per-chunk observer (checkpoint write + external callback).  Gradient
-    algorithms stream through their single-chunk ``iter_run`` adapter, so
-    ``on_snapshot`` observes every cell either way.
+    Returns ``(result, continued)`` — ``continued`` when the run resumed
+    from the ``checkpoint`` file.  The stop-rule loop itself lives in
+    :meth:`ValuationAlgorithm.run`, the single driver of the snapshot
+    stream; this function contributes the per-chunk observer: every
+    ``checkpoint_every`` chunks (0 disables) the state is written to
+    ``checkpoint`` *before* ``on_snapshot(snapshot)`` runs, so whatever the
+    callback raises still finds the chunk on disk.  Gradient algorithms
+    stream through their single-chunk ``iter_run`` adapter and are never
+    checkpointed.  The pipeline and the service both run cells here.
     """
 
     def observe(snapshot) -> None:
-        # Persist the state before handing control to the observer, so an
-        # interrupt raised from the callback still finds this chunk on disk.
         if (
             snapshot.state is not None
             and not snapshot.done
             and checkpoint_every
             and snapshot.chunk_index % checkpoint_every == 0
         ):
-            _write_json(_checkpoint_path(run_dir, cell), snapshot.state.to_dict())
+            _write_json(checkpoint, snapshot.state.to_dict())
         if on_snapshot is not None:
-            on_snapshot(spec, algorithm_name, snapshot)
+            on_snapshot(snapshot)
 
     if not isinstance(algorithm, ValuationAlgorithm):
         last = None
         for last in algorithm.iter_run(utility, utility.n_clients):
             observe(last)
-        return last.result()
+        return last.result(), False
 
-    state = _load_checkpoint(run_dir, cell, algorithm, utility.n_clients, say)
+    state = load_estimator_checkpoint(checkpoint, algorithm, utility.n_clients, say)
     if state is not None:
-        report.cells_continued += 1
         say(
-            f"continuing {spec.label()} × {algorithm_name} from checkpoint "
+            f"continuing {label} from checkpoint "
             f"(chunk {state.chunk_index}, {state.evaluations} evaluations spent)"
         )
     result = algorithm.run(
@@ -607,8 +652,8 @@ def _execute_cell(
     )
     stopped_by = result.metadata.get("stopped_by")
     if stopped_by:
-        say(f"early stop for {spec.label()} × {algorithm_name}: {stopped_by}")
-    return result
+        say(f"early stop for {label}: {stopped_by}")
+    return result, state is not None
 
 
 def _snapshot_interval_observer(telemetry: Telemetry, on_snapshot):
@@ -660,27 +705,7 @@ def _run_task_cells(
     results: Dict[str, dict] = {}
     try:
         if pending:
-            utility = spec.build(store)
-            if plan.backend == "fleet":
-                # The fleet backend is not name-constructible (it needs the
-                # queue directory), so build the instance here; the oracle's
-                # bind_store hook then ships the store identity to workers.
-                from repro.fleet.coordinator import FleetExecutor
-
-                utility.set_n_workers(
-                    plan.n_workers,
-                    FleetExecutor(
-                        queue_dir=plan.queue_dir,
-                        spawn_workers=plan.spawn_workers,
-                        worker_backend=plan.worker_backend or "serial",
-                        lease_seconds=plan.lease_seconds,
-                        log=say,
-                    ),
-                )
-            elif plan.n_workers > 1 or plan.backend is not None:
-                utility.set_n_workers(plan.n_workers, plan.backend)
-            if telemetry is not None:
-                utility.set_telemetry(telemetry)
+            utility = build_cell_utility(spec, store, plan, say, telemetry)
         for algorithm_name in plan.algorithms:
             this_cell = cell_ids[algorithm_name]
             recorded = manifest["cells"].get(this_cell)
@@ -707,6 +732,8 @@ def _run_task_cells(
             if telemetry is not None:
                 telemetry_before = telemetry.snapshot()
                 cell_observer = _snapshot_interval_observer(telemetry, on_snapshot)
+            if cell_observer is not None:
+                cell_observer = partial(cell_observer, spec, algorithm_name)
             cell_span = (
                 telemetry.span(
                     "pipeline.cell",
@@ -719,19 +746,17 @@ def _run_task_cells(
             )
             try:
                 with cell_span:
-                    result = _execute_cell(
+                    result, continued = execute_cell(
                         algorithm,
                         utility,
-                        spec,
-                        algorithm_name,
-                        run_dir,
-                        this_cell,
-                        report,
+                        checkpoint_path(run_dir, this_cell),
+                        f"{spec.label()} × {algorithm_name}",
                         say,
                         stop_rule,
                         checkpoint_every,
                         cell_observer,
                     )
+                report.cells_continued += int(continued)
             except (TypeError, ValueError) as error:
                 cell = {
                     "status": "skipped",
@@ -743,7 +768,7 @@ def _run_task_cells(
                 }
                 manifest["cells"][this_cell] = cell
                 _write_json(os.path.join(run_dir, MANIFEST_NAME), manifest)
-                _drop_checkpoint(run_dir, this_cell)
+                drop_checkpoint(run_dir, this_cell)
                 report.cells_skipped += 1
                 report.rows.append(_skip_row(spec, algorithm_name, cell))
                 continue
@@ -775,7 +800,7 @@ def _run_task_cells(
             if telemetry is not None:
                 telemetry.flush()
             # The cell is durably recorded; its mid-run checkpoint is obsolete.
-            _drop_checkpoint(run_dir, this_cell)
+            drop_checkpoint(run_dir, this_cell)
             report.cells_run += 1
             # `fl_trainings` must count only what THIS invocation paid.  For
             # a cell resumed from a mid-run checkpoint the result's

@@ -8,10 +8,10 @@ a *trainings* ledger, and a *workers* heartbeat table.
 The protocol is classic lease-based work stealing:
 
 ``claim``
-    One worker atomically (``BEGIN IMMEDIATE``) takes the oldest pending
-    batch, marking it leased with a wall-clock deadline.  Expired leases are
-    requeued inside the same transaction, so a claim can never race a
-    requeue into double-delivery.
+    One worker atomically (in one write-locking transaction) takes the
+    oldest pending batch, marking it leased with a wall-clock deadline.
+    Expired leases are requeued inside the same transaction, so a claim can
+    never race a requeue into double-delivery.
 ``renew``
     The owner extends its lease while a long batch evaluates (workers
     heartbeat at a fraction of the lease).
@@ -31,6 +31,8 @@ completing a batch, so a requeued batch re-trains only what its dead owner
 had not yet deposited.  The ``trainings`` ledger records one row per
 deposited training — ``COUNT(*) == COUNT(DISTINCT key)`` is the fleet's
 zero-duplicated-trainings invariant, checked by tests and the crash smoke.
+The connection, transactions and ledger come from
+:class:`~repro.store.sqlite.DurableState`, shared with the service's job store.
 
 All timestamps in this module are wall-clock *lease bookkeeping and
 telemetry* — they decide when work is handed out again and what ``repro``
@@ -42,13 +44,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import sqlite3
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.store.sqlite import is_busy_error, run_with_busy_retry
+from repro.store.sqlite import DurableState, is_busy_error
 
 QUEUE_FILENAME = "queue.sqlite"
 
@@ -76,12 +75,6 @@ CREATE TABLE IF NOT EXISTS batches (
 );
 CREATE INDEX IF NOT EXISTS idx_batches_status ON batches (status, seq);
 CREATE INDEX IF NOT EXISTS idx_batches_run ON batches (run_id);
-CREATE TABLE IF NOT EXISTS trainings (
-    key         TEXT NOT NULL,
-    worker      TEXT NOT NULL,
-    batch_id    TEXT NOT NULL,
-    recorded_at REAL NOT NULL
-);
 CREATE TABLE IF NOT EXISTS workers (
     worker_id    TEXT PRIMARY KEY,
     pid          INTEGER,
@@ -163,13 +156,14 @@ def _decode_coalitions(blob: str) -> Tuple[frozenset, ...]:
     return tuple(frozenset(members) for members in json.loads(blob))
 
 
-class LeaseQueue:
+class LeaseQueue(DurableState):
     """Thread- and process-safe handle on one fleet queue directory.
 
-    A single connection guarded by an internal lock serves all threads of
-    this process; cross-process atomicity comes from ``BEGIN IMMEDIATE``
-    transactions plus the store module's bounded busy retry.
+    Ledger rows are tagged ``(worker, batch_id)``: who trained the key, for
+    which batch.
     """
+
+    LEDGER_COLUMNS = ("worker", "batch_id")
 
     def __init__(
         self,
@@ -180,64 +174,17 @@ class LeaseQueue:
         self.queue_dir = str(queue_dir)
         self.max_attempts = int(max_attempts)
         os.makedirs(self.queue_dir, exist_ok=True)
-        self.path = os.path.join(self.queue_dir, QUEUE_FILENAME)
-        self._lock = threading.RLock()
-        # isolation_level=None: explicit BEGIN IMMEDIATE below; the sqlite3
-        # module's implicit transaction management would defer lock
-        # acquisition and turn claims into lost-update races.
-        self._connection = sqlite3.connect(
-            self.path, timeout=timeout, check_same_thread=False, isolation_level=None
-        )
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
-        self._connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
-        run_with_busy_retry(lambda: self._connection.executescript(_SCHEMA))
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _now(self) -> float:
-        # Lease deadlines and heartbeats are wall-clock *queue bookkeeping*:
-        # they decide when work is re-delivered, never what any value is.
-        return time.time()  # repro: allow[RPR002] reason=lease timestamps are queue telemetry, not identity
-
-    def _transaction(self, operation):
-        """Run ``operation(connection)`` inside BEGIN IMMEDIATE, with retry."""
-
-        def attempt():
-            with self._lock:
-                self._connection.execute("BEGIN IMMEDIATE")
-                try:
-                    result = operation(self._connection)
-                    self._connection.execute("COMMIT")
-                    return result
-                except BaseException:
-                    self._connection.execute("ROLLBACK")
-                    raise
-
-        return run_with_busy_retry(attempt)
-
-    def _query(self, sql: str, params: tuple = ()) -> List[tuple]:
-        def attempt():
-            with self._lock:
-                return self._connection.execute(sql, params).fetchall()
-
-        return run_with_busy_retry(attempt)
+        super().__init__(os.path.join(self.queue_dir, QUEUE_FILENAME), _SCHEMA, timeout)
 
     # ------------------------------------------------------------------ #
     # Runs
     # ------------------------------------------------------------------ #
     def register_run(self, run_id: str, payload: WorkPayload) -> None:
-        blob = payload.to_bytes()
-
-        def op(connection):
-            connection.execute(
-                "INSERT OR REPLACE INTO runs (run_id, payload, state, created_at) "
-                "VALUES (?, ?, 'active', ?)",
-                (run_id, blob, self._now()),
-            )
-
-        self._transaction(op)
+        self._execute(
+            "INSERT OR REPLACE INTO runs (run_id, payload, state, created_at) "
+            "VALUES (?, ?, 'active', ?)",
+            (run_id, payload.to_bytes(), self._now()),
+        )
 
     def run_payload(self, run_id: str) -> WorkPayload:
         rows = self._query("SELECT payload FROM runs WHERE run_id = ?", (run_id,))
@@ -246,11 +193,7 @@ class LeaseQueue:
         return WorkPayload.from_bytes(rows[0][0])
 
     def finish_run(self, run_id: str) -> None:
-        self._transaction(
-            lambda c: c.execute(
-                "UPDATE runs SET state = 'finished' WHERE run_id = ?", (run_id,)
-            )
-        )
+        self._execute("UPDATE runs SET state = 'finished' WHERE run_id = ?", (run_id,))
 
     def active_runs(self) -> List[str]:
         return [
@@ -344,29 +287,19 @@ class LeaseQueue:
     def renew(self, batch_id: str, worker_id: str, lease_seconds: float) -> bool:
         """Extend a lease; ``False`` means the lease was lost (expired away)."""
         deadline = self._now() + float(lease_seconds)
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE batches SET deadline = ? "
-                "WHERE batch_id = ? AND owner = ? AND status = 'leased'",
-                (deadline, batch_id, worker_id),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE batches SET deadline = ? "
+            "WHERE batch_id = ? AND owner = ? AND status = 'leased'",
+            (deadline, batch_id, worker_id),
+        ) > 0
 
     def complete(self, batch_id: str, worker_id: str) -> bool:
         """Retire a finished batch; ``False`` if the lease was lost meanwhile."""
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE batches SET status = 'done', deadline = NULL "
-                "WHERE batch_id = ? AND owner = ? AND status = 'leased'",
-                (batch_id, worker_id),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE batches SET status = 'done', deadline = NULL "
+            "WHERE batch_id = ? AND owner = ? AND status = 'leased'",
+            (batch_id, worker_id),
+        ) > 0
 
     def release(self, batch_id: str, worker_id: str, error: Optional[str] = None) -> bool:
         """Hand a batch back after a failed evaluation (keeps its attempt count)."""
@@ -435,53 +368,33 @@ class LeaseQueue:
         """Batches not yet retired (pending + leased): the queue-depth gauge."""
         return self.counts().outstanding
 
-    # ------------------------------------------------------------------ #
-    # Trainings ledger
-    # ------------------------------------------------------------------ #
-    def record_training(self, key: str, worker_id: str, batch_id: str) -> None:
-        """Record one *deposited* training (call only after the store put).
-
-        Deliberately a plain INSERT: a duplicated training must show up as a
-        duplicate row, not be papered over by a unique constraint — the
-        ledger exists so tests and the crash smoke can assert there are none.
-        """
-        now = self._now()
-        self._transaction(
-            lambda c: c.execute(
-                "INSERT INTO trainings (key, worker, batch_id, recorded_at) "
-                "VALUES (?, ?, ?, ?)",
-                (key, worker_id, batch_id, now),
+    def lease_owners(self) -> List[str]:
+        """Workers holding a batch lease right now, oldest batch first."""
+        return [
+            row[0]
+            for row in self._query(
+                "SELECT owner FROM batches WHERE status = 'leased' ORDER BY seq"
             )
-        )
-
-    def training_counts(self) -> Tuple[int, int]:
-        """``(total, distinct)`` ledger rows; equal ⇔ zero duplicated trainings."""
-        rows = self._query("SELECT COUNT(*), COUNT(DISTINCT key) FROM trainings")
-        return int(rows[0][0]), int(rows[0][1])
+        ]
 
     # ------------------------------------------------------------------ #
     # Worker heartbeats
     # ------------------------------------------------------------------ #
     def register_worker(self, worker_id: str, pid: Optional[int] = None) -> None:
         now = self._now()
-        self._transaction(
-            lambda c: c.execute(
-                "INSERT OR REPLACE INTO workers "
-                "(worker_id, pid, started_at, last_seen, batches_done) "
-                "VALUES (?, ?, ?, ?, COALESCE("
-                "  (SELECT batches_done FROM workers WHERE worker_id = ?), 0))",
-                (worker_id, pid, now, now, worker_id),
-            )
+        self._execute(
+            "INSERT OR REPLACE INTO workers "
+            "(worker_id, pid, started_at, last_seen, batches_done) "
+            "VALUES (?, ?, ?, ?, COALESCE("
+            "  (SELECT batches_done FROM workers WHERE worker_id = ?), 0))",
+            (worker_id, pid, now, now, worker_id),
         )
 
     def touch_worker(self, worker_id: str, batches_done: int = 0) -> None:
-        now = self._now()
-        self._transaction(
-            lambda c: c.execute(
-                "UPDATE workers SET last_seen = ?, batches_done = batches_done + ? "
-                "WHERE worker_id = ?",
-                (now, int(batches_done), worker_id),
-            )
+        self._execute(
+            "UPDATE workers SET last_seen = ?, batches_done = batches_done + ? "
+            "WHERE worker_id = ?",
+            (self._now(), int(batches_done), worker_id),
         )
 
     def workers(self) -> List[dict]:
@@ -498,22 +411,6 @@ class LeaseQueue:
                 "FROM workers ORDER BY worker_id"
             )
         ]
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        with self._lock:
-            try:
-                self._connection.close()
-            except sqlite3.Error:  # pragma: no cover - close is best-effort
-                pass
-
-    def __enter__(self) -> "LeaseQueue":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 __all__ = [

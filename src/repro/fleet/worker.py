@@ -11,16 +11,18 @@ not yet deposited.
 
 Dedupe discipline (the zero-duplicated-trainings invariant):
 
-1. before evaluating, the worker checks every coalition against its
-   oracle's memo and store — anything a sibling (or a dead predecessor)
-   already deposited is a store hit and is *not* trained again;
-2. the oracle writes the batch's utilities through to the store when the
-   batch returns;
-3. only after a coalition's utility is durably in the store is it recorded
-   in the queue's trainings ledger.
+1. the oracle reads the store for every claimed coalition — anything a
+   sibling (or a dead predecessor) already deposited is a store hit and is
+   *not* trained again;
+2. the oracle writes the batch's trained utilities through to the store
+   when the batch returns;
+3. the store is a :class:`~repro.store.sqlite.RecordingStore`, so each
+   write that lands is recorded in the queue's trainings ledger right after
+   the put — the same rule as the service's job ledger.
 
-A SIGKILL between (2) and (3) therefore under-counts the ledger but can
-never double-train: the requeued batch finds the utility in the store.
+A SIGKILL between the put and its ledger row therefore under-counts the
+ledger but can never double-train: the requeued batch finds the utility in
+the store.  A utility that is never stored (non-finite) leaves no row.
 
 Lease renewal runs on a daemon heartbeat thread at a third of the lease
 interval; a worker that loses its lease anyway (e.g. a pathological stall)
@@ -35,12 +37,13 @@ import socket
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.fleet.queue import Claim, LeaseQueue, WorkPayload
 from repro.parallel.batch_oracle import BatchUtilityOracle
-from repro.store import open_store, utility_key
+from repro.store import open_store
+from repro.store.sqlite import RecordingStore
 from repro.telemetry import RunJournal, Telemetry, Tracer
 
 #: how many runs' unpickled contexts one worker keeps alive
@@ -64,16 +67,30 @@ class WorkerStats:
 
 
 class _RunContext:
-    """One run's unpickled payload: oracle + store handle + telemetry."""
+    """One run's unpickled payload: oracle + store handle + telemetry.
 
-    def __init__(self, payload: WorkPayload, backend: str, n_workers: int) -> None:
+    The oracle sees the store through a :class:`RecordingStore` that ledgers
+    each write under this worker and the batch being served.
+    """
+
+    def __init__(
+        self,
+        payload: WorkPayload,
+        backend: str,
+        n_workers: int,
+        queue: LeaseQueue,
+        worker_id: str,
+    ) -> None:
         self.payload = payload
+        self.queue = queue
+        self.worker_id = worker_id
+        self.batch_id = ""
         self.store = open_store(payload.store_path, payload.store_backend)
         self.oracle = BatchUtilityOracle(
             payload.evaluator,
             n_workers=n_workers,
             executor=backend,
-            store=self.store,
+            store=RecordingStore(self.store, self.record_training),
             store_namespace=payload.namespace,
         )
         self.telemetry: Optional[Telemetry] = None
@@ -83,6 +100,9 @@ class _RunContext:
             # trace` then shows fleet batches nested inside the run tree.
             journal = RunJournal(payload.journal_path)
             self.telemetry = Telemetry(journal=journal, tracer=Tracer(journal))
+
+    def record_training(self, key: str) -> None:
+        self.queue.record_training(key, self.worker_id, self.batch_id)
 
     def span(self, name: str, parent: bool = True, **attrs):
         if self.telemetry is None:
@@ -230,7 +250,9 @@ def _context_for(
 ) -> _RunContext:
     context = contexts.get(run_id)
     if context is None:
-        context = _RunContext(queue.run_payload(run_id), backend, n_workers)
+        context = _RunContext(
+            queue.run_payload(run_id), backend, n_workers, queue, stats.worker_id
+        )
         if len(contexts) >= _CONTEXT_CACHE:
             evicted_id = next(iter(contexts))
             contexts.pop(evicted_id).close()
@@ -259,19 +281,18 @@ def _serve_claim(
         claim_span.__enter__()
     heartbeat = _Heartbeat(queue, claim, stats.worker_id, lease_seconds)
     try:
-        # Anything already deposited (a sibling, or this batch's dead former
-        # owner) is a store hit below and will not be trained; the membership
-        # check counts nothing, so evaluate_batch's accounting stays exact.
-        missing = [c for c in claim.coalitions if c not in context.oracle]
-        stats.store_hits += len(claim.coalitions) - len(missing)
+        oracle = context.oracle
+        trained_before = oracle.evaluations
+        served_before = oracle.cache_hits + oracle.store_hits
+        context.batch_id = claim.batch_id
         batch_span = context.span(
             "fleet.batch", batch=claim.batch_id, backend=backend,
-            size=len(claim.coalitions), misses=len(missing),
+            size=len(claim.coalitions),
         )
         try:
             if batch_span is not None:
                 batch_span.__enter__()
-            context.oracle.evaluate_batch(claim.coalitions)
+            oracle.evaluate_batch(claim.coalitions)
         except Exception as error:  # repro: allow[RPR007] reason=reported via queue.release(error=...); surfaces through the coordinator after max_attempts
             if batch_span is not None:
                 batch_span.__exit__(type(error), error, None)
@@ -279,17 +300,14 @@ def _serve_claim(
             stats.released += 1
             say(f"worker {stats.worker_id}: released {claim.batch_id}: {error!r}")
             return
+        # Anything already deposited (a sibling, or this batch's dead former
+        # owner) was served, not trained; the oracle's accounting says which.
+        trained = oracle.evaluations - trained_before
+        stats.trainings += trained
+        stats.store_hits += oracle.cache_hits + oracle.store_hits - served_before
         if batch_span is not None:
+            batch_span.annotate(misses=trained)
             batch_span.__exit__(None, None, None)
-        # Deposits are durable (evaluate_batch wrote through the store);
-        # only now do the trainings enter the ledger — a kill between the
-        # two can under-count, never double-train.
-        namespace = context.payload.namespace
-        for coalition in missing:
-            queue.record_training(
-                utility_key(namespace, coalition), stats.worker_id, claim.batch_id
-            )
-        stats.trainings += len(missing)
         if heartbeat.lost:
             stats.renewals_lost += 1
         if queue.complete(claim.batch_id, stats.worker_id):

@@ -1,8 +1,9 @@
 """The service's durable job queue: one WAL-SQLite file of job rows.
 
-Same concurrency idioms as the fleet's :class:`~repro.fleet.queue.LeaseQueue`
-(one connection behind a process lock, ``BEGIN IMMEDIATE`` transactions,
-bounded busy retry) but a different protocol: jobs are *claimed by in-process
+Built on the same durable-state core as the fleet's
+:class:`~repro.fleet.queue.LeaseQueue` (:class:`~repro.store.sqlite.DurableState`:
+one connection behind a process lock, retrying write-locking transactions,
+the trainings ledger) but a different protocol: jobs are *claimed by in-process
 scheduler workers*, not leased to remote processes, so there are no lease
 deadlines — a crashed server leaves rows in ``running`` and
 :meth:`JobStore.recover` requeues them on restart (their checkpoints carry
@@ -19,8 +20,8 @@ A claim also never picks a job whose store namespace is already running
 (*store affinity*): two concurrent submits of the same (tenant, task) would
 otherwise each miss the shared store's cold cache and train the same
 coalitions twice.  Serialised, the second becomes a warm re-run.  The
-``trainings`` ledger — one plain-INSERT row per actual training, exactly the
-fleet's idiom — is how tests assert that invariant:
+``trainings`` ledger — one plain-INSERT row per stored training, tagged with
+the job id — is how tests assert that invariant:
 ``COUNT(*) == COUNT(DISTINCT key)``.
 """
 
@@ -28,13 +29,10 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
-import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.models import JobRecord, JobSpec
-from repro.store.sqlite import run_with_busy_retry
+from repro.store.sqlite import DurableState
 
 JOBS_FILENAME = "jobs.sqlite"
 
@@ -65,108 +63,36 @@ CREATE TABLE IF NOT EXISTS jobs (
 );
 CREATE INDEX IF NOT EXISTS idx_jobs_status ON jobs (status, priority DESC, seq);
 CREATE INDEX IF NOT EXISTS idx_jobs_tenant ON jobs (tenant, seq);
-CREATE TABLE IF NOT EXISTS trainings (
-    key         TEXT NOT NULL,
-    job_id      TEXT NOT NULL,
-    recorded_at REAL NOT NULL
-);
 """
 
-_RECORD_COLUMNS = (
-    "job_id, tenant, priority, status, spec, namespace, task_fingerprint, "
-    "submitted_at, started_at, finished_at, attempts, preemptions, worker, "
-    "error, result, fl_trainings, store_hits"
+#: job columns that map one-to-one onto JobRecord fields
+_RECORD_FIELDS = (
+    "job_id", "status", "spec", "namespace", "task_fingerprint",
+    "submitted_at", "started_at", "finished_at", "attempts", "preemptions",
+    "worker", "error", "result", "fl_trainings", "store_hits",
 )
+_RECORD_COLUMNS = ", ".join(_RECORD_FIELDS)
 
 
 def _record_from_row(row: tuple) -> JobRecord:
-    (
-        job_id,
-        _tenant,
-        _priority,
-        status,
-        spec_json,
-        namespace,
-        task_fingerprint,
-        submitted_at,
-        started_at,
-        finished_at,
-        attempts,
-        preemptions,
-        worker,
-        error,
-        result_json,
-        fl_trainings,
-        store_hits,
-    ) = row
+    fields = dict(zip(_RECORD_FIELDS, row))
+    spec, result = fields.pop("spec"), fields.pop("result")
     return JobRecord(
-        job_id=job_id,
-        spec=JobSpec.from_dict(json.loads(spec_json)),
-        status=status,
-        namespace=namespace,
-        task_fingerprint=task_fingerprint,
-        submitted_at=float(submitted_at),
-        started_at=None if started_at is None else float(started_at),
-        finished_at=None if finished_at is None else float(finished_at),
-        attempts=int(attempts),
-        preemptions=int(preemptions),
-        worker=worker,
-        error=error,
-        result=None if result_json is None else json.loads(result_json),
-        fl_trainings=int(fl_trainings),
-        store_hits=int(store_hits),
+        spec=JobSpec.from_dict(json.loads(spec)),
+        result=None if result is None else json.loads(result),
+        **fields,
     )
 
 
-class JobStore:
+class JobStore(DurableState):
     """Thread- and process-safe handle on one service state directory's jobs."""
+
+    LEDGER_COLUMNS = ("job_id",)
 
     def __init__(self, state_dir: str, timeout: float = 10.0) -> None:
         self.state_dir = str(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
-        self.path = os.path.join(self.state_dir, JOBS_FILENAME)
-        self._lock = threading.RLock()
-        # isolation_level=None: explicit BEGIN IMMEDIATE below, exactly as in
-        # fleet/queue.py — implicit transactions would defer lock acquisition
-        # and turn claims into lost-update races.
-        self._connection = sqlite3.connect(
-            self.path, timeout=timeout, check_same_thread=False, isolation_level=None
-        )
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
-        self._connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
-        run_with_busy_retry(lambda: self._connection.executescript(_SCHEMA))
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _now(self) -> float:
-        # Submission order and wait times are wall-clock *queue bookkeeping*:
-        # they decide scheduling and what /metrics reports, never any value.
-        return time.time()  # repro: allow[RPR002] reason=job timestamps are queue telemetry, not identity
-
-    def _transaction(self, operation):
-        """Run ``operation(connection)`` inside BEGIN IMMEDIATE, with retry."""
-
-        def attempt():
-            with self._lock:
-                self._connection.execute("BEGIN IMMEDIATE")
-                try:
-                    result = operation(self._connection)
-                    self._connection.execute("COMMIT")
-                    return result
-                except BaseException:
-                    self._connection.execute("ROLLBACK")
-                    raise
-
-        return run_with_busy_retry(attempt)
-
-    def _query(self, sql: str, params: tuple = ()) -> List[tuple]:
-        def attempt():
-            with self._lock:
-                return self._connection.execute(sql, params).fetchall()
-
-        return run_with_busy_retry(attempt)
+        super().__init__(os.path.join(self.state_dir, JOBS_FILENAME), _SCHEMA, timeout)
 
     # ------------------------------------------------------------------ #
     # Submit / inspect
@@ -319,33 +245,27 @@ class JobStore:
         store_hits: int = 0,
     ) -> bool:
         """``running → done``; ``False`` if the job is no longer this worker's."""
-        now = self._now()
-        result_json = json.dumps(result, sort_keys=True)
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE jobs SET status = 'done', finished_at = ?, result = ?, "
-                "fl_trainings = fl_trainings + ?, store_hits = store_hits + ?, "
-                "error = NULL WHERE job_id = ? AND worker = ? AND status = 'running'",
-                (now, result_json, int(fl_trainings), int(store_hits), job_id, worker),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE jobs SET status = 'done', finished_at = ?, result = ?, "
+            "fl_trainings = fl_trainings + ?, store_hits = store_hits + ?, "
+            "error = NULL WHERE job_id = ? AND worker = ? AND status = 'running'",
+            (
+                self._now(),
+                json.dumps(result, sort_keys=True),
+                int(fl_trainings),
+                int(store_hits),
+                job_id,
+                worker,
+            ),
+        ) > 0
 
     def fail(self, job_id: str, worker: str, error: str) -> bool:
         """``running → failed`` with the error message recorded."""
-        now = self._now()
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE jobs SET status = 'failed', finished_at = ?, error = ? "
-                "WHERE job_id = ? AND worker = ? AND status = 'running'",
-                (now, str(error)[:1000], job_id, worker),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE jobs SET status = 'failed', finished_at = ?, error = ? "
+            "WHERE job_id = ? AND worker = ? AND status = 'running'",
+            (self._now(), str(error)[:1000], job_id, worker),
+        ) > 0
 
     def requeue(
         self,
@@ -356,41 +276,29 @@ class JobStore:
         store_hits: int = 0,
     ) -> bool:
         """``running → queued`` (graceful preemption); progress is on disk."""
-        now = self._now()
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE jobs SET status = 'queued', worker = NULL, queued_at = ?, "
-                "preemptions = preemptions + ?, preempt_requested = 0, "
-                "fl_trainings = fl_trainings + ?, store_hits = store_hits + ? "
-                "WHERE job_id = ? AND worker = ? AND status = 'running'",
-                (
-                    now,
-                    1 if preempted else 0,
-                    int(fl_trainings),
-                    int(store_hits),
-                    job_id,
-                    worker,
-                ),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE jobs SET status = 'queued', worker = NULL, queued_at = ?, "
+            "preemptions = preemptions + ?, preempt_requested = 0, "
+            "fl_trainings = fl_trainings + ?, store_hits = store_hits + ? "
+            "WHERE job_id = ? AND worker = ? AND status = 'running'",
+            (
+                self._now(),
+                1 if preempted else 0,
+                int(fl_trainings),
+                int(store_hits),
+                job_id,
+                worker,
+            ),
+        ) > 0
 
     def mark_cancelled(self, job_id: str, worker: str) -> bool:
         """``running → cancelled`` after the runner honoured a cancel request."""
-        now = self._now()
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE jobs SET status = 'cancelled', finished_at = ?, "
-                "worker = NULL WHERE job_id = ? AND worker = ? "
-                "AND status = 'running'",
-                (now, job_id, worker),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE jobs SET status = 'cancelled', finished_at = ?, "
+            "worker = NULL WHERE job_id = ? AND worker = ? "
+            "AND status = 'running'",
+            (self._now(), job_id, worker),
+        ) > 0
 
     # ------------------------------------------------------------------ #
     # Client-driven transitions
@@ -431,16 +339,11 @@ class JobStore:
 
     def request_preempt(self, job_id: str) -> bool:
         """Ask a running job to checkpoint and yield at its next chunk."""
-
-        def op(connection) -> bool:
-            cursor = connection.execute(
-                "UPDATE jobs SET preempt_requested = 1 "
-                "WHERE job_id = ? AND status = 'running'",
-                (job_id,),
-            )
-            return cursor.rowcount > 0
-
-        return self._transaction(op)
+        return self._execute(
+            "UPDATE jobs SET preempt_requested = 1 "
+            "WHERE job_id = ? AND status = 'running'",
+            (job_id,),
+        ) > 0
 
     def control_flags(self, job_id: str) -> Tuple[bool, bool]:
         """``(cancel_requested, preempt_requested)`` — polled per chunk."""
@@ -481,45 +384,6 @@ class JobStore:
             return [row[0] for row in rows]
 
         return self._transaction(op)
-
-    # ------------------------------------------------------------------ #
-    # Trainings ledger
-    # ------------------------------------------------------------------ #
-    def record_training(self, key: str, job_id: str) -> None:
-        """Record one *deposited* training (call only after the store put).
-
-        Deliberately a plain INSERT, exactly like the fleet ledger: a
-        duplicated training must show up as a duplicate row, not be papered
-        over by a unique constraint.
-        """
-        now = self._now()
-        self._transaction(
-            lambda c: c.execute(
-                "INSERT INTO trainings (key, job_id, recorded_at) VALUES (?, ?, ?)",
-                (key, job_id, now),
-            )
-        )
-
-    def training_counts(self) -> Tuple[int, int]:
-        """``(total, distinct)`` ledger rows; equal ⇔ zero duplicated trainings."""
-        rows = self._query("SELECT COUNT(*), COUNT(DISTINCT key) FROM trainings")
-        return int(rows[0][0]), int(rows[0][1])
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        with self._lock:
-            try:
-                self._connection.close()
-            except sqlite3.Error:  # pragma: no cover - close is best-effort
-                pass
-
-    def __enter__(self) -> "JobStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 __all__ = ["JOBS_FILENAME", "JobStore"]

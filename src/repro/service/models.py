@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core import parse_stopping_rule
-from repro.experiments.pipeline import available_algorithms
+from repro.experiments.pipeline import available_algorithms, validate_execution
 from repro.experiments.specs import TaskSpec
-from repro.parallel.executors import EXECUTOR_BACKENDS
 from repro.store import fingerprint
 
 #: terminal statuses: the job will never run again
@@ -126,21 +125,7 @@ class JobSpec:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.backend is not None and self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {EXECUTOR_BACKENDS}"
-            )
-        if self.backend == "fleet" and not self.queue_dir:
-            raise ValueError(
-                "backend 'fleet' needs a queue directory (queue_dir=) shared "
-                "with its workers"
-            )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.spawn_workers < 0:
-            raise ValueError(f"spawn_workers must be >= 0, got {self.spawn_workers}")
-        if self.lease_seconds <= 0:
-            raise ValueError(f"lease_seconds must be > 0, got {self.lease_seconds}")
+        validate_execution(self)
 
     # ------------------------------------------------------------------ #
     # Derived identities

@@ -16,19 +16,28 @@ every write additionally runs under :func:`run_with_busy_retry`, so a fleet
 of worker processes hammering one store file never surfaces a transient
 ``SQLITE_BUSY`` to callers — a lock that persists past both layers is a real
 deadlock and does raise.
+
+The module also holds the one durable-state core the fleet's lease queue and
+the service's job store build on (:class:`DurableState`: WAL connection,
+retrying ``BEGIN IMMEDIATE`` transactions, the bookkeeping clock and the
+plain-INSERT trainings ledger) and :class:`RecordingStore`, the store proxy
+that writes every ledger row — so a row exists exactly when a training
+reached the store, whichever subsystem paid for it.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
+import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.store.base import GCResult, UtilityStore
 from repro.store.fingerprint import key_namespace
 
 _T = TypeVar("_T")
+_S = TypeVar("_S", bound="DurableState")
 
 #: write attempts before a busy error surfaces to the caller
 BUSY_RETRIES = 8
@@ -66,6 +75,32 @@ def run_with_busy_retry(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def connect_wal(
+    path: str, timeout: float, isolation_level: Optional[str] = ""
+) -> sqlite3.Connection:
+    """Open one thread-hopping WAL connection with a blocking busy timeout.
+
+    The ``connect()`` timeout only covers the lock waits the sqlite3 module
+    itself performs; an explicit ``busy_timeout`` makes SQLite block (not
+    fail) inside every statement, which is what many concurrent fleet
+    workers sharing one file need.  Callers serialise access to the handle
+    themselves, so it may move between threads.
+    """
+    connection = sqlite3.connect(
+        path,
+        timeout=timeout,
+        check_same_thread=False,
+        isolation_level=isolation_level,
+    )
+    try:
+        connection.execute("PRAGMA journal_mode=WAL")
+    except sqlite3.DatabaseError:
+        pass  # WAL is an optimisation; read-only media still work
+    connection.execute("PRAGMA synchronous=NORMAL")
+    connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
+    return connection
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS utilities (
     key        TEXT PRIMARY KEY,
@@ -100,19 +135,7 @@ class SqliteUtilityStore(UtilityStore):
         os.makedirs(parent, exist_ok=True)
         # The base-class lock serialises all access from this handle, so the
         # connection may safely hop between threads.
-        self._connection = sqlite3.connect(
-            self.path, timeout=timeout, check_same_thread=False
-        )
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.DatabaseError:
-            pass  # WAL is an optimisation; read-only media still work
-        self._connection.execute("PRAGMA synchronous=NORMAL")
-        # The connect() timeout only covers the lock waits the sqlite3 module
-        # itself performs; an explicit busy_timeout makes SQLite block (not
-        # fail) inside every statement, which is what many concurrent fleet
-        # workers sharing one store file need.
-        self._connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
+        self._connection = connect_wal(self.path, timeout)
         run_with_busy_retry(
             lambda: self._connection.executescript(_SCHEMA)
         )
@@ -225,3 +248,173 @@ class SqliteUtilityStore(UtilityStore):
 
     def _close(self) -> None:
         self._connection.close()
+
+
+class DurableState:
+    """One WAL-SQLite file of coordination state, plus its trainings ledger.
+
+    The shared core of :class:`~repro.fleet.queue.LeaseQueue` and
+    :class:`~repro.service.jobs.JobStore`: a single connection guarded by a
+    process lock serves every thread, and cross-process atomicity comes from
+    ``BEGIN IMMEDIATE`` transactions plus :func:`run_with_busy_retry`.
+    Subclasses pass their own tables as ``schema`` and name the ledger's tag
+    columns in :attr:`LEDGER_COLUMNS` (who paid for a training).
+
+    The ``trainings`` ledger is deliberately a plain INSERT: a duplicated
+    training must show up as a duplicate row, not be papered over by a
+    unique constraint — ``COUNT(*) == COUNT(DISTINCT key)`` is the
+    zero-duplicated-trainings invariant tests and the crash smokes assert.
+    Its rows are written by :class:`RecordingStore`, only once a utility is
+    in the store.
+    """
+
+    #: ledger columns after ``key`` that tag who paid for each training
+    LEDGER_COLUMNS: Tuple[str, ...] = ()
+
+    def __init__(self, path: str, schema: str, timeout: float = 10.0) -> None:
+        self.path = str(path)
+        self._lock = threading.RLock()
+        # isolation_level=None: explicit BEGIN IMMEDIATE in _transaction; the
+        # sqlite3 module's implicit transactions would defer lock acquisition
+        # and turn claims into lost-update races.
+        self._connection = connect_wal(self.path, timeout, isolation_level=None)
+        columns = ("key",) + self.LEDGER_COLUMNS + ("recorded_at",)
+        ledger = ", ".join(f"{column} TEXT NOT NULL" for column in columns[:-1])
+        schema += (
+            f"CREATE TABLE IF NOT EXISTS trainings "
+            f"({ledger}, recorded_at REAL NOT NULL);"
+        )
+        self._insert_training = (
+            f"INSERT INTO trainings ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' * len(columns))})"
+        )
+        run_with_busy_retry(lambda: self._connection.executescript(schema))
+
+    def _now(self) -> float:
+        # Lease deadlines, submission order and wait times are wall-clock
+        # *bookkeeping*: they decide scheduling and what gets reported,
+        # never any value.
+        return time.time()  # repro: allow[RPR002] reason=queue timestamps are bookkeeping telemetry, not identity
+
+    def _transaction(self, operation: Callable[[sqlite3.Connection], _T]) -> _T:
+        """Run ``operation(connection)`` inside BEGIN IMMEDIATE, with retry."""
+
+        def attempt() -> _T:
+            with self._lock:
+                self._connection.execute("BEGIN IMMEDIATE")
+                try:
+                    result = operation(self._connection)
+                    self._connection.execute("COMMIT")
+                    return result
+                except BaseException:
+                    self._connection.execute("ROLLBACK")
+                    raise
+
+        return run_with_busy_retry(attempt)
+
+    def _execute(self, sql: str, params: tuple = ()) -> int:
+        """One write statement in its own transaction; returns its rowcount."""
+        return self._transaction(lambda c: max(c.execute(sql, params).rowcount, 0))
+
+    def _query(self, sql: str, params: tuple = ()) -> List[tuple]:
+        def attempt() -> List[tuple]:
+            with self._lock:
+                return self._connection.execute(sql, params).fetchall()
+
+        return run_with_busy_retry(attempt)
+
+    # ------------------------------------------------------------------ #
+    # Trainings ledger
+    # ------------------------------------------------------------------ #
+    def record_training(self, key: str, *tags: Any) -> None:
+        """Ledger one *deposited* training, tagged per :attr:`LEDGER_COLUMNS`.
+
+        Call only after the store put — :class:`RecordingStore` does.
+        """
+        self._execute(self._insert_training, (key, *tags, self._now()))
+
+    def training_counts(self) -> Tuple[int, int]:
+        """``(total, distinct)`` ledger rows; equal ⇔ zero duplicated trainings."""
+        rows = self._query("SELECT COUNT(*), COUNT(DISTINCT key) FROM trainings")
+        return int(rows[0][0]), int(rows[0][1])
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        with self._lock:
+            try:
+                self._connection.close()
+            except sqlite3.Error:  # pragma: no cover - close is best-effort
+                pass
+
+    def __enter__(self: _S) -> _S:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class RecordingStore(UtilityStore):
+    """Pass-through store that ledgers every write as one paid training.
+
+    Reads go straight to ``inner``; every write — i.e. every training that
+    actually reached the store — also calls ``record(key, *tags)``, a
+    :meth:`DurableState.record_training`.  This proxy is the only writer of
+    ledger rows, for fleet workers and service jobs alike, so a row exists
+    exactly when a utility was stored: a non-finite utility (never
+    persisted) or a coalition served from the store leaves none.
+
+    It is a real :class:`UtilityStore` subclass (not a duck type) because
+    :func:`repro.store.resolve_store` type-checks stores it is handed — and a
+    subclass correctly inherits the "unowned handle" treatment: closing the
+    proxy never closes the shared inner store.
+    """
+
+    def __init__(
+        self, inner: UtilityStore, record: Callable[..., None], *tags: Any
+    ) -> None:
+        super().__init__()
+        self._inner = inner
+        self._record = record
+        self._tags = tags
+
+    # Backend hooks run with *this* proxy's lock held; they delegate to the
+    # inner store's public interface, which takes the inner store's own lock —
+    # lock order is always proxy → inner, so the pair cannot deadlock.
+
+    @property
+    def location(self) -> str:
+        return self._inner.location
+
+    def _read(self, key: str) -> Optional[float]:
+        """Caller must hold the lock (the public ``get`` does)."""
+        return self._inner.get(key)
+
+    def _write(self, key: str, value: float) -> int:
+        """Caller must hold the lock (the public ``put`` does)."""
+        self._inner.put(key, value)
+        self._record(key, *self._tags)
+        return 0  # byte accounting happens on the inner store
+
+    def _count(self) -> int:
+        """Caller must hold the lock (the public ``__len__`` does)."""
+        return len(self._inner)
+
+    def summary(self) -> dict:
+        return self._inner.summary()
+
+    def _keys(self) -> Iterable[str]:
+        """Caller must hold the lock (unreached: ``summary`` is delegated)."""
+        return []
+
+    def _gc(self, keep_namespace: Optional[str]) -> GCResult:
+        """Caller must hold the lock (the public ``gc`` does)."""
+        return self._inner.gc(keep_namespace)
+
+    def _close(self) -> None:
+        """Caller must hold the lock (the public ``close`` does).
+
+        Deliberately does NOT close the inner store: that is a shared handle
+        owned by the server or worker, not by any one job or batch.
+        """

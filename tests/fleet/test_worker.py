@@ -146,6 +146,8 @@ class TestFailureSemantics:
         )
         assert stats.batches == 1
         assert queue.statuses([batch_id])[batch_id][0] == "done"
+        # Nothing reached the store, so nothing may enter the ledger.
+        assert queue.training_counts() == (0, 0)
         queue.close()
 
 

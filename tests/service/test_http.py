@@ -69,6 +69,22 @@ class TestJobEndpoints:
             client.submit({"task": make_task(), "algorithm": "IPSS", "algoritm": "x"})
         assert excinfo.value.status == 400
 
+    def test_bad_worker_backend_submit_is_a_400_naming_the_field(
+        self, service_client, tmp_path
+    ):
+        _service, client = service_client
+        spec = {
+            "task": make_task(),
+            "algorithm": "IPSS",
+            "backend": "fleet",
+            "queue_dir": str(tmp_path / "queue"),
+            "worker_backend": "bogus",
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert "worker_backend" in str(excinfo.value)
+
     def test_unknown_job_is_a_404_everywhere(self, service_client):
         _service, client = service_client
         for method in (client.job, client.cancel):

@@ -52,6 +52,11 @@ class TestJobSpecValidation:
         with pytest.raises(ValueError, match="queue"):
             make_spec(backend="fleet")
 
+    def test_unknown_worker_backend_rejected_like_a_plan(self, tmp_path):
+        # One validator serves JobSpec and ExperimentPlan: same field, same error.
+        with pytest.raises(ValueError, match="worker_backend"):
+            make_spec(backend="fleet", queue_dir=str(tmp_path), worker_backend="bogus")
+
     def test_from_dict_rejects_unknown_fields(self):
         payload = {"task": make_task(), "algorithm": "MC-Shapley", "algorithms": "x"}
         with pytest.raises(ValueError, match="unknown JobSpec fields"):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 TASK_FLAGS = [
     "--task", "adult",
@@ -300,3 +300,77 @@ class TestStoreCommands:
         assert not missing.exists()  # inspection left no stray store behind
         code, _ = run_cli(capsys, "store", "gc", "--store", str(missing), "--json")
         assert code == 2
+
+
+class TestTaskFlagGroup:
+    """``run`` and ``submit`` share one task-flag group; defaults are pinned."""
+
+    TASK_DEFAULTS = {
+        "task": None,
+        "setup": None,
+        "model": "logistic",
+        "n_clients": None,
+        "scale": "tiny",
+        "seed": 0,
+    }
+
+    def test_run_defaults_unchanged(self):
+        args = vars(build_parser().parse_args(["run", "--run-dir", "r"]))
+        assert args == {
+            **self.TASK_DEFAULTS,
+            "command": "run",
+            "run_dir": "r",
+            "config": None,
+            "scenario": None,
+            "algorithms": None,
+            "n_workers": 1,
+            "backend": None,
+            "queue_dir": None,
+            "spawn_workers": 0,
+            "worker_backend": None,
+            "lease_seconds": 30.0,
+            "resume": False,
+            "stop_on": None,
+            "checkpoint_every": 1,
+            "progress": False,
+            "heartbeat": 0.0,
+            "json_stream": False,
+            "no_telemetry": False,
+            "store": None,
+            "store_backend": None,
+            "json": False,
+        }
+
+    def test_submit_defaults_unchanged(self):
+        args = vars(build_parser().parse_args(["submit"]))
+        assert args == {
+            **self.TASK_DEFAULTS,
+            "command": "submit",
+            "url": "http://127.0.0.1:8310",
+            "spec": None,
+            "algorithm": "IPSS",
+            "tenant": "default",
+            "priority": 0,
+            "stop_on": None,
+            "checkpoint_every": 1,
+            "backend": None,
+            "n_workers": 1,
+            "wait": False,
+            "stream": False,
+            "json": False,
+        }
+
+    def test_task_flags_parse_the_same_on_both_verbs(self):
+        flags = [
+            "--task", "synthetic",
+            "--setup", "same-size-noisy-label",
+            "--model", "mlp",
+            "--n-clients", "4",
+            "--scale", "small",
+            "--seed", "3",
+        ]
+        parser = build_parser()
+        run = vars(parser.parse_args(["run", "--run-dir", "r", *flags]))
+        submit = vars(parser.parse_args(["submit", *flags]))
+        for name in self.TASK_DEFAULTS:
+            assert run[name] == submit[name]
