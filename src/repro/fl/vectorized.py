@@ -224,13 +224,24 @@ class VectorizedCoalitionTrainer:
     def estimated_coalition_bytes(self, coalition: frozenset) -> int:
         """Estimated stacked-training footprint of one coalition, in bytes.
 
-        Counts the float64 tensors whose size scales with the batch: the
-        coalition's parameter row, per-member local parameter rows plus the
-        aggregation update stack (2·|S|·P), and the per-epoch permuted
-        feature/target gathers (≈2× the member datasets).  Fixed engine
-        state (the shared client data stacks, the model) is excluded — it
-        does not grow with the batch, so it has no business in the packing
-        decision.
+        Counts the float64 tensors whose size scales with the batch:
+
+        * the coalition's parameter row (P);
+        * two rows per member (2·|S|·P).  While its size group trains, a
+          member holds its local parameter row and its row of the group's
+          gradient buffer; at aggregation, its local row and its row of the
+          update stack.  A regularised step (``l2 > 0`` or FedProx) holds a
+          third, scratch row per member of the group in training, which is
+          not counted;
+        * twice the member datasets for the permuted feature/target
+          gathers.  Each group gathers into one reused buffer, so this
+          over-counts by one dataset copy; correcting it would move chunk
+          boundaries, and with them every large-federation run's packing.
+
+        It is a packing heuristic, not a bound: per-step activations are not
+        counted either.  Fixed engine state (the shared client data stacks, the
+        model) is excluded — it does not grow with the batch, so it has no
+        business in the packing decision.
         """
         members = sorted(
             self.trainer._effective_members(frozenset(coalition))
@@ -362,7 +373,8 @@ class VectorizedCoalitionTrainer:
                     ]
                 )
                 stacked = rows.reshape(len(index_array), -1, parameters.shape[1])
-                parameters[index_array] = (stacked * normalized[:, :, None]).sum(axis=1)
+                np.multiply(stacked, normalized[:, :, None], out=stacked)
+                parameters[index_array] = stacked.sum(axis=1)
         return parameters
 
     # ------------------------------------------------------------------ #
@@ -454,39 +466,69 @@ class VectorizedCoalitionTrainer:
                 return
             client_rows = group["client_rows"][np.asarray(live_rows)]
 
-        stacked = parameters[np.asarray([b for b, _ in live])]  # (Bt, P) copy
+        # A fresh (Bt, P) copy per call, updated in place; ``updated`` keeps
+        # views of its rows until the round's aggregation reads them.
+        stacked = parameters[np.asarray([b for b, _ in live])]
         gens = [children[key] for key in live]
         features = group["features"]
         targets = group["targets"]
+        learning_rate = model.learning_rate
+        # Every step writes into per-group (Bt, P) buffers instead of
+        # allocating fresh temporaries: the same ufuncs on the same operands
+        # in the serial order (``grad + l2 * params``, ``params - lr * grad``),
+        # so the bits do not change.  At stack sizes of a few hundred slices
+        # each temporary would be a fresh mmap-sized allocation per step.
+        grad = np.empty_like(stacked)
 
         if config.algorithm == "fedsgd":
             # A single full-batch step from the global parameters; the serial
             # client applies neither L2 nor the proximal term here.
-            grad = model.batch_gradient(
-                stacked, features[client_rows], targets[client_rows]
+            model.batch_gradient(
+                stacked, features[client_rows], targets[client_rows], out=grad
             )
-            stacked = stacked - model.learning_rate * grad
+            np.multiply(learning_rate, grad, out=grad)
+            np.subtract(stacked, grad, out=stacked)
         else:
             reference = stacked.copy() if proximal_mu > 0.0 else None
+            regularized = model.l2 > 0 or reference is not None
+            scratch = np.empty_like(stacked) if regularized else None
+            # One gather per epoch into reused buffers: row r of the permuted
+            # stack is slice r's client data in slice r's mini-batch order,
+            # row-identical to the serial per-step indexing.  ``take`` reads
+            # the stacks flattened over (client, sample); mode="clip" only
+            # skips the bounds-checking copy — the indices come from
+            # permutations of range(n) and are always in range.
+            flat_features = features.reshape((-1,) + features.shape[2:])
+            flat_targets = targets.reshape(-1)
+            row_offsets = (client_rows * n)[:, None]
+            permuted_features = np.empty(
+                (len(live), n) + features.shape[2:], dtype=features.dtype
+            )
+            permuted_targets = np.empty((len(live), n), dtype=targets.dtype)
             for _epoch in range(config.local_epochs):
-                orders = np.stack([gen.permutation(n) for gen in gens])
-                # One gather per epoch: row r of the permuted stack is slice
-                # r's client data in slice r's mini-batch order, row-identical
-                # to the serial per-step indexing.
-                permuted_features = features[client_rows[:, None], orders]
-                permuted_targets = targets[client_rows[:, None], orders]
+                index = np.stack([gen.permutation(n) for gen in gens])
+                index += row_offsets
+                np.take(
+                    flat_features, index, axis=0, out=permuted_features, mode="clip"
+                )
+                np.take(flat_targets, index, out=permuted_targets, mode="clip")
                 for start in range(0, n, batch_size):
                     stop = start + batch_size
-                    grad = model.batch_gradient(
+                    model.batch_gradient(
                         stacked,
                         permuted_features[:, start:stop],
                         permuted_targets[:, start:stop],
+                        out=grad,
                     )
                     if model.l2 > 0:
-                        grad = grad + model.l2 * stacked
-                    if proximal_mu > 0.0 and reference is not None:
-                        grad = grad + proximal_mu * (stacked - reference)
-                    stacked = stacked - model.learning_rate * grad
+                        np.multiply(model.l2, stacked, out=scratch)
+                        np.add(grad, scratch, out=grad)
+                    if reference is not None:
+                        np.subtract(stacked, reference, out=scratch)
+                        np.multiply(proximal_mu, scratch, out=scratch)
+                        np.add(grad, scratch, out=grad)
+                    np.multiply(learning_rate, grad, out=grad)
+                    np.subtract(stacked, grad, out=stacked)
 
         for j, key in enumerate(live):
             updated[key] = stacked[j]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
@@ -34,16 +36,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Softmax over the last axis with the max-subtraction trick for stability.
 
     Works unchanged for ``(n, C)`` logits and for the ``(B, n, C)`` stacks the
     batched multi-coalition kernels produce (for 2-D input the last axis *is*
-    axis 1, so this is the historical row-wise behaviour).
+    axis 1, so this is the historical row-wise behaviour).  ``out=logits``
+    runs the same three ufuncs in place, overwriting the logits.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    exp = np.exp(shifted, out=shifted)
+    return np.divide(exp, exp.sum(axis=-1, keepdims=True), out=exp)
 
 
 _ACTIVATIONS = {

@@ -243,23 +243,39 @@ class ParametricModel(Model):
             return np.empty((0, expected), dtype=float)
         return np.stack(rows)
 
+    def _gradient_out(
+        self, parameters: np.ndarray, out: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """The ``(B, P)`` array :meth:`batch_gradient` writes into."""
+        if out is None:
+            return np.empty(parameters.shape)
+        if out.shape != parameters.shape or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be a float64 array of shape {parameters.shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        return out
+
     def batch_gradient(
-        self, parameters: np.ndarray, features: np.ndarray, targets: np.ndarray
+        self,
+        parameters: np.ndarray,
+        features: np.ndarray,
+        targets: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-slice mini-batch gradients: ``(B, P) × (B, m, ...) → (B, P)``.
 
-        Reference implementation: a loop over :meth:`_gradient`.  Vectorized
-        subclasses replace it with stacked linear algebra.
+        The gradients are written into ``out`` (a fresh array when ``None``),
+        which is returned; ``parameters``, ``features`` and ``targets`` are
+        never modified.  Reference implementation: a loop over
+        :meth:`_gradient`.  Vectorized subclasses replace it with stacked
+        linear algebra.
         """
         parameters = self._check_stacked(parameters)
-        if parameters.shape[0] == 0:
-            return parameters.copy()
-        return np.stack(
-            [
-                self._gradient(parameters[b], features[b], targets[b])
-                for b in range(parameters.shape[0])
-            ]
-        )
+        out = self._gradient_out(parameters, out)
+        for b in range(parameters.shape[0]):
+            out[b] = self._gradient(parameters[b], features[b], targets[b])
+        return out
 
     def batch_predict(self, parameters: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Predictions of every stacked model on shared features → ``(B, n)``.

@@ -7,6 +7,8 @@ which assume an FL linear-regression model trained on Gaussian data.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.datasets.base import Dataset
@@ -100,31 +102,47 @@ class LinearRegressionModel(ParametricModel):
         self, parameters: np.ndarray, features: np.ndarray
     ) -> np.ndarray:
         weights, biases = self._batch_split(parameters)
-        return (features @ weights[..., None])[..., 0] + biases[:, None]
+        predictions = np.matmul(features, weights[..., None])[..., 0]
+        predictions += biases[:, None]
+        return predictions
 
     def batch_gradient(
-        self, parameters: np.ndarray, features: np.ndarray, targets: np.ndarray
+        self,
+        parameters: np.ndarray,
+        features: np.ndarray,
+        targets: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Stacked squared-error gradients: ``(B, P) × (B, m, ...) → (B, P)``.
 
-        Note the serial path computes ``X.T @ r`` as a BLAS GEMV while the
-        stacked path runs a width-1 GEMM per slice; the kernels may round
-        differently in the last ulps, which is exactly the divergence the
-        equivalence policy in ``docs/performance.md`` bounds and tests.
+        The same operations as :meth:`_gradient`, lifted one batch axis up
+        and written straight into ``out`` (allocated when ``None``), which is
+        returned.  Note the serial path computes ``X.T @ r`` as a BLAS GEMV
+        while the stacked path runs a width-1 GEMM per slice; the kernels
+        may round differently in the last ulps, which is exactly the
+        divergence the equivalence policy in ``docs/performance.md`` bounds
+        and tests.
         """
         parameters = self._check_stacked(parameters)
         features = np.asarray(features, dtype=float)
         batch, m = parameters.shape[0], features.shape[1]
         features = features.reshape(batch, m, -1)
         targets = np.asarray(targets, dtype=float)
-        residual = self._batch_predict_with(parameters, features) - targets
-        grad_w = (
-            2.0 * np.matmul(features.transpose(0, 2, 1), residual[..., None])[..., 0] / m
+        out = self._gradient_out(parameters, out)
+        residual = self._batch_predict_with(parameters, features)
+        residual -= targets
+        # 2.0 * (X.T @ r) / m, one in-place op at a time.
+        grad_w = out[:, : self.n_features]
+        np.matmul(
+            features.transpose(0, 2, 1), residual[..., None], out=grad_w[..., None]
         )
+        grad_w *= 2.0
+        grad_w /= m
         if self.fit_intercept:
-            grad_b = 2.0 * residual.mean(axis=1)
-            return np.concatenate([grad_w, grad_b[:, None]], axis=1)
-        return grad_w
+            grad_b = out[:, -1]
+            np.mean(residual, axis=1, out=grad_b)
+            grad_b *= 2.0
+        return out
 
     def batch_predict(self, parameters: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Regression predictions of every stacked model on shared features."""

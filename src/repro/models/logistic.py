@@ -7,6 +7,8 @@ rather than specifically an MLP or CNN.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.datasets.base import Dataset
@@ -95,33 +97,42 @@ class LogisticRegressionModel(ParametricModel):
         self, parameters: np.ndarray, features: np.ndarray
     ) -> np.ndarray:
         weights, biases = self._batch_unpack(parameters)
-        logits = features @ weights + biases[:, None, :]
-        return softmax(logits)
+        logits = np.matmul(features, weights)
+        logits += biases[:, None, :]
+        return softmax(logits, out=logits)
 
     def batch_gradient(
-        self, parameters: np.ndarray, features: np.ndarray, targets: np.ndarray
+        self,
+        parameters: np.ndarray,
+        features: np.ndarray,
+        targets: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Stacked cross-entropy gradients: ``(B, P) × (B, m, ...) → (B, P)``.
 
         The same operations as :meth:`_gradient`, lifted one batch axis up:
         each slice's matmuls see operands of identical shape and layout to
         the serial path, which is what keeps vectorized training numerically
-        aligned with serial training (see ``docs/performance.md``).
+        aligned with serial training (see ``docs/performance.md``).  The
+        weight and bias gradients are written straight into their views of
+        ``out`` (allocated when ``None``), which is returned.
         """
         parameters = self._check_stacked(parameters)
         features = np.asarray(features, dtype=float)
         batch, m = parameters.shape[0], features.shape[1]
         features = features.reshape(batch, m, -1)
         targets = np.asarray(targets).astype(int)
-        probabilities = self._batch_probabilities(parameters, features)
-        # (p - one_hot) / m without materialising the one-hot tensor; the
-        # per-element arithmetic is identical to the serial expression.
-        delta = probabilities.copy()
+        out = self._gradient_out(parameters, out)
+        grad_w, grad_b = self._batch_unpack(out)
+        # (p - one_hot) / m in place on the probabilities, without
+        # materialising the one-hot tensor; the per-element arithmetic is
+        # identical to the serial expression.
+        delta = self._batch_probabilities(parameters, features)
         delta[np.arange(batch)[:, None], np.arange(m)[None, :], targets] -= 1.0
         delta /= m
-        grad_w = np.matmul(features.transpose(0, 2, 1), delta)
-        grad_b = delta.sum(axis=1)
-        return np.concatenate([grad_w.reshape(batch, -1), grad_b], axis=1)
+        np.matmul(features.transpose(0, 2, 1), delta, out=grad_w)
+        np.sum(delta, axis=1, out=grad_b)
+        return out
 
     def batch_predict(self, parameters: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Class predictions of every stacked model on shared features."""

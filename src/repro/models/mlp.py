@@ -8,7 +8,7 @@ server can aggregate them with FedAvg.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -171,64 +171,69 @@ class MLPClassifier(ParametricModel):
     def _batch_forward(
         self, parameters: np.ndarray, features: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """Stacked forward pass: probabilities plus cached activations."""
+        """Stacked forward pass: probabilities plus cached activations.
+
+        Returns the hidden layers' pre-activations only: the output logits
+        are turned into probabilities in place.  Biases are added in place
+        on the matmul outputs — the same additions as ``hidden @ w + b``.
+        """
         layers = self._batch_unpack(parameters)
         activations = [features]
         pre_activations = []
         hidden = features
         for weight, bias in layers[:-1]:
-            pre = hidden @ weight + bias[:, None, :]
+            pre = np.matmul(hidden, weight)
+            pre += bias[:, None, :]
             pre_activations.append(pre)
             hidden = self._activation(pre)
             activations.append(hidden)
         out_weight, out_bias = layers[-1]
-        logits = hidden @ out_weight + out_bias[:, None, :]
-        pre_activations.append(logits)
-        return softmax(logits), pre_activations, activations
+        logits = np.matmul(hidden, out_weight)
+        logits += out_bias[:, None, :]
+        return softmax(logits, out=logits), pre_activations, activations
 
     def batch_gradient(
-        self, parameters: np.ndarray, features: np.ndarray, targets: np.ndarray
+        self,
+        parameters: np.ndarray,
+        features: np.ndarray,
+        targets: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Stacked backprop: ``(B, P) × (B, m, ...) → (B, P)``.
 
         Mirrors :meth:`_gradient` with every matmul lifted one batch axis up;
         per-slice operand shapes and layouts match the serial path exactly.
+        Each layer's weight and bias gradients are written straight into
+        their views of ``out`` (allocated when ``None``), which is returned.
         """
         parameters = self._check_stacked(parameters)
         features = np.asarray(features, dtype=float)
         batch, m = parameters.shape[0], features.shape[1]
         features = features.reshape(batch, m, -1)
         targets = np.asarray(targets).astype(int)
+        out = self._gradient_out(parameters, out)
         layers = self._batch_unpack(parameters)
-        probabilities, pre_activations, activations = self._batch_forward(
+        grads = self._batch_unpack(out)
+        # (p - one_hot) / m in place on the probabilities, which nothing
+        # reads afterwards; the per-element arithmetic is identical to the
+        # serial expression.
+        delta, pre_activations, activations = self._batch_forward(
             parameters, features
         )
-
-        # (p - one_hot) / m without materialising the one-hot tensor; the
-        # per-element arithmetic is identical to the serial expression.
-        delta = probabilities.copy()
         delta[np.arange(batch)[:, None], np.arange(m)[None, :], targets] -= 1.0
         delta /= m
 
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-        grads[-1] = (
-            np.matmul(activations[-1].transpose(0, 2, 1), delta),
-            delta.sum(axis=1),
-        )
-        for layer_index in range(len(layers) - 2, -1, -1):
-            weight_next = layers[layer_index + 1][0]
-            delta = (delta @ weight_next.transpose(0, 2, 1)) * self._activation_grad(
-                pre_activations[layer_index]
+        for layer_index in range(len(layers) - 1, -1, -1):
+            if layer_index < len(layers) - 1:
+                weight_next = layers[layer_index + 1][0]
+                delta = np.matmul(delta, weight_next.transpose(0, 2, 1))
+                delta *= self._activation_grad(pre_activations[layer_index])
+            grad_weight, grad_bias = grads[layer_index]
+            np.matmul(
+                activations[layer_index].transpose(0, 2, 1), delta, out=grad_weight
             )
-            grads[layer_index] = (
-                np.matmul(activations[layer_index].transpose(0, 2, 1), delta),
-                delta.sum(axis=1),
-            )
-        chunks = []
-        for weight, bias in grads:
-            chunks.append(weight.reshape(batch, -1))
-            chunks.append(bias)
-        return np.concatenate(chunks, axis=1)
+            np.sum(delta, axis=1, out=grad_bias)
+        return out
 
     def batch_predict(self, parameters: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Class predictions of every stacked model on shared features."""

@@ -10,7 +10,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.datasets import make_classification_blobs, partition_iid, train_test_split
+from repro.datasets import (
+    make_classification_blobs,
+    make_linear_regression,
+    partition_different_sizes,
+    partition_iid,
+    train_test_split,
+)
 from repro.fl import (
     FederatedTrainer,
     FLConfig,
@@ -23,6 +29,7 @@ from repro.models import (
     MLPClassifier,
     SimpleCNN,
 )
+from repro.models.linear import LinearRegressionModel
 
 N = 5
 SEED = 3
@@ -42,12 +49,42 @@ def clients_and_test():
     return partition_iid(train, N, seed=SEED), test
 
 
+@pytest.fixture(scope="module")
+def uneven_clients_and_test():
+    """Client sizes 1 : 2 : … : 5 — five size groups, ragged mini-batches."""
+    pooled = make_classification_blobs(220, n_features=4, n_classes=3, seed=SEED)
+    train, test = train_test_split(pooled, test_fraction=0.25, seed=SEED)
+    return partition_different_sizes(train, N, seed=SEED), test
+
+
+@pytest.fixture(scope="module")
+def regression_clients_and_test():
+    pooled = make_linear_regression(200, n_features=4, noise_std=0.3, seed=SEED)
+    train, test = train_test_split(pooled, test_fraction=0.25, seed=SEED)
+    return partition_iid(train, N, seed=SEED), test
+
+
 def logistic_factory():
     return LogisticRegressionModel(n_features=4, n_classes=3, epochs=2)
 
 
 def mlp_factory():
     return MLPClassifier(n_features=4, n_classes=3, hidden_sizes=(6,), batch_size=8)
+
+
+def deep_mlp_factory():
+    return MLPClassifier(
+        n_features=4,
+        n_classes=3,
+        hidden_sizes=(6, 5),
+        activation="tanh",
+        l2=0.01,
+        batch_size=8,
+    )
+
+
+def linear_factory():
+    return LinearRegressionModel(n_features=4, batch_size=8, epochs=2)
 
 
 def build(clients_and_test, factory=logistic_factory, config=None, dropout=None):
@@ -66,17 +103,47 @@ def assert_parity(trainer, chunk_size=64, coalitions=None):
 
 
 class TestSeedForSeedParity:
-    @pytest.mark.parametrize("factory", [logistic_factory, mlp_factory])
+    @pytest.mark.parametrize(
+        "factory", [logistic_factory, mlp_factory, deep_mlp_factory]
+    )
     def test_fedavg(self, clients_and_test, factory):
         assert_parity(build(clients_and_test, factory, FLConfig(rounds=3, local_epochs=2)))
 
-    def test_fedprox(self, clients_and_test):
-        config = FLConfig(rounds=2, local_epochs=2, algorithm="fedprox", proximal_mu=0.3)
-        assert_parity(build(clients_and_test, logistic_factory, config))
+    def test_linear_fedavg(self, regression_clients_and_test):
+        config = FLConfig(rounds=3, local_epochs=2)
+        assert_parity(build(regression_clients_and_test, linear_factory, config))
 
-    def test_fedsgd(self, clients_and_test):
+    @pytest.mark.parametrize("factory", [logistic_factory, mlp_factory])
+    def test_fedprox(self, clients_and_test, factory):
+        config = FLConfig(rounds=2, local_epochs=2, algorithm="fedprox", proximal_mu=0.3)
+        assert_parity(build(clients_and_test, factory, config))
+
+    @pytest.mark.parametrize("factory", [logistic_factory, mlp_factory])
+    def test_fedsgd(self, clients_and_test, factory):
         config = FLConfig(rounds=3, algorithm="fedsgd")
-        assert_parity(build(clients_and_test, logistic_factory, config))
+        assert_parity(build(clients_and_test, factory, config))
+
+    @pytest.mark.parametrize("factory", [mlp_factory, deep_mlp_factory])
+    def test_different_client_sizes(self, uneven_clients_and_test, factory):
+        config = FLConfig(
+            rounds=2, local_epochs=2, algorithm="fedprox", proximal_mu=0.3
+        )
+        assert_parity(build(uneven_clients_and_test, factory, config))
+
+    def test_repeated_batches_do_not_alias_buffers(self, uneven_clients_and_test):
+        # One engine trains the same plan twice: any row of a stacked or
+        # reused buffer that outlived its round would change the second run.
+        config = FLConfig(
+            rounds=3, local_epochs=2, algorithm="fedprox", proximal_mu=0.3
+        )
+        trainer = build(uneven_clients_and_test, deep_mlp_factory, config)
+        plan = all_coalitions(N)
+        fresh = np.asarray(VectorizedCoalitionTrainer(trainer).utilities(plan))
+        engine = VectorizedCoalitionTrainer(trainer, chunk_size=7)
+        first = np.asarray(engine.utilities(plan))
+        second = np.asarray(engine.utilities(plan))
+        np.testing.assert_array_equal(first, fresh)
+        np.testing.assert_array_equal(second, fresh)
 
     def test_straggler_dropout(self, clients_and_test):
         trainer = build(

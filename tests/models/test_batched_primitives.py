@@ -62,6 +62,40 @@ class TestBatchGradient:
         assert batched.shape == (B, model.num_parameters())
         np.testing.assert_array_equal(batched, reference)
 
+    @pytest.mark.parametrize("model", stacked_models(), ids=lambda m: type(m).__name__)
+    def test_out_contract(self, model):
+        rng = np.random.default_rng(4)
+        P = model.num_parameters()
+        parameters = rng.normal(size=(B, P))
+        features = rng.normal(size=(B, M, F))
+        targets = targets_for(model, rng, (B, M))
+        inputs = (parameters, features, targets)
+        before = [array.copy() for array in inputs]
+        expected = model.batch_gradient(parameters, features, targets)
+        # A strided view (every other row, offset columns) of a larger,
+        # NaN-filled buffer: the gradient must land in it bit for bit and
+        # nothing outside it may be touched.
+        buffer = np.full((2 * B, P + 3), np.nan)
+        out = buffer[::2, 1 : P + 1]
+        result = model.batch_gradient(parameters, features, targets, out=out)
+        assert result is out
+        np.testing.assert_array_equal(out, expected)
+        outside = np.ones(buffer.shape, dtype=bool)
+        outside[::2, 1 : P + 1] = False
+        assert np.isnan(buffer[outside]).all()
+        for array, original in zip(inputs, before):
+            np.testing.assert_array_equal(array, original)
+
+    def test_out_of_wrong_shape_is_rejected(self):
+        model = LogisticRegressionModel(n_features=F, n_classes=C)
+        with pytest.raises(ValueError, match="out must be"):
+            model.batch_gradient(
+                np.zeros((B, model.num_parameters())),
+                np.zeros((B, M, F)),
+                np.zeros((B, M), dtype=int),
+                out=np.zeros((B, model.num_parameters() + 1)),
+            )
+
     def test_default_per_slice_loop_for_cnn(self):
         model = SimpleCNN(image_size=6, n_classes=2, n_filters=2)
         rng = np.random.default_rng(1)
