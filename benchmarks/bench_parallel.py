@@ -1,17 +1,10 @@
-"""Benchmark E12: scaling of the batched coalition engine.
+"""Benchmark E12: the vectorized backend on the standard IPSS grid.
 
-Per-coalition FL training (the paper's τ) dominates every algorithm, so the
-batched engine is measured two ways:
-
-* **Worker scaling** — a synthetic 8-client task whose oracle carries an
-  explicit modeled τ per coalition (a GIL-releasing sleep, the same shape as
-  real multi-process FL training): ``n_workers=4`` must yield >1.5×
-  wall-clock speedup over serial execution for both StratifiedSampling and
-  IPSS under identical budgets, with bitwise-identical values.
-* **Vectorized backend** — real FL training on the paper's standard IPSS
-  grid (n = 10 clients, γ = 32 from Table III; MLP model): the vectorized
-  executor must evaluate the grid ≥3× faster than the serial executor, with
-  seed-for-seed identical utilities and identical training counts.
+Per-coalition FL training (the paper's τ) dominates every algorithm.  Real
+FL training on the paper's standard IPSS grid (n = 10 clients, γ = 32 from
+Table III; MLP model): the vectorized executor must evaluate the grid ≥3×
+faster than the serial executor, with seed-for-seed identical utilities and
+identical training counts.
 
 Results land as text tables *and* machine-readable BENCH-format JSON under
 ``benchmarks/results/`` (see ``harness.py``) so the perf trajectory is
@@ -25,120 +18,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import IPSS, StratifiedSampling
+from repro.core import IPSS
 from repro.experiments.config import ExperimentScale, sampling_rounds_for
 from repro.experiments.reporting import format_table
 from repro.experiments.tasks import build_synthetic_task
 from repro.fl.vectorized import PARITY_ATOL
-from repro.parallel import BatchUtilityOracle
 
-from conftest import monotone_game, run_once, save_report
+from conftest import run_once, save_report
 from harness import BenchResult, load_bench_json, save_bench_json
 
-N_CLIENTS = 8
-SEED = 5
-#: modeled per-coalition training cost τ (seconds); sleeping releases the GIL
-TAU = 0.02
-
-
-class ModeledCostGame:
-    """Synthetic 8-client utility with an explicit per-coalition cost τ."""
-
-    def __init__(self, n_clients: int, tau: float, seed: int) -> None:
-        self.n_clients = n_clients
-        self.tau = tau
-        self._game = monotone_game(n_clients, seed=seed)
-
-    def __call__(self, coalition) -> float:
-        time.sleep(self.tau)
-        return self._game(coalition)
-
-
-def _timed_run(algorithm, n_workers: int):
-    oracle = BatchUtilityOracle(
-        ModeledCostGame(N_CLIENTS, TAU, SEED),
-        n_clients=N_CLIENTS,
-        n_workers=n_workers,
-        executor="serial" if n_workers == 1 else "thread",
-    )
-    start = time.perf_counter()
-    values = algorithm.run(oracle, N_CLIENTS).values
-    elapsed = time.perf_counter() - start
-    return elapsed, values, oracle.evaluations
-
-
-def _scaling_rows(algorithm_factory, worker_counts=(1, 2, 4)):
-    rows = []
-    serial_time = None
-    serial_values = None
-    for n_workers in worker_counts:
-        elapsed, values, evaluations = _timed_run(algorithm_factory(), n_workers)
-        if n_workers == 1:
-            serial_time, serial_values = elapsed, values
-        assert np.array_equal(values, serial_values), "parallel run changed values"
-        rows.append(
-            {
-                "algorithm": algorithm_factory().name,
-                "n_workers": n_workers,
-                "time_s": elapsed,
-                "evaluations": evaluations,
-                "speedup": serial_time / elapsed,
-            }
-        )
-    return rows
-
-
-def _run_scaling():
-    rows = []
-    rows += _scaling_rows(
-        lambda: StratifiedSampling(total_rounds=24, scheme="mc", seed=SEED)
-    )
-    rows += _scaling_rows(lambda: IPSS(total_rounds=24, seed=SEED))
-    return rows
-
-
-@pytest.mark.benchmark(group="parallel")
-def test_parallel_speedup(benchmark, results_dir):
-    rows = run_once(benchmark, _run_scaling)
-    save_report(
-        results_dir,
-        "parallel_scaling",
-        format_table(
-            rows,
-            columns=["algorithm", "n_workers", "time_s", "evaluations", "speedup"],
-            title=f"Batched-engine scaling — {N_CLIENTS} clients, modeled τ = {TAU}s",
-        ),
-    )
-    save_bench_json(
-        results_dir,
-        "parallel_scaling",
-        [
-            BenchResult(
-                name=f"{row['algorithm']}-workers-{row['n_workers']}",
-                config={
-                    "algorithm": row["algorithm"],
-                    "n_workers": row["n_workers"],
-                    "n_clients": N_CLIENTS,
-                    "tau": TAU,
-                    "backend": "serial" if row["n_workers"] == 1 else "thread",
-                },
-                wall_time_s=row["time_s"],
-                speedup=row["speedup"],
-                baseline=f"{row['algorithm']}-workers-1",
-                metrics={"evaluations": row["evaluations"]},
-            )
-            for row in rows
-        ],
-    )
-    four_worker_speedups = [r["speedup"] for r in rows if r["n_workers"] == 4]
-    benchmark.extra_info["speedup_4_workers"] = four_worker_speedups
-    # Acceptance: >1.5× wall-clock speedup with 4 workers on the 8-client task.
-    assert all(s > 1.5 for s in four_worker_speedups)
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized backend on the standard IPSS grid
-# --------------------------------------------------------------------------- #
 GRID_CLIENTS = 10
 GRID_SEEDS = (0, 1, 2)
 GRID_MODEL = "mlp"
@@ -201,7 +89,7 @@ def _ipss_grid():
 
 def _evaluate_grid(grid, backend):
     utility = _build_grid_task()
-    utility.set_n_workers(1, backend)
+    utility.set_executor(backend)
     start = time.perf_counter()
     results = utility.evaluate_batch(grid)
     elapsed = time.perf_counter() - start

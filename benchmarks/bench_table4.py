@@ -23,8 +23,6 @@ def _best_error(rows, n, model):
 
 @pytest.mark.benchmark(group="table4")
 def test_table4_mlp(benchmark, bench_scale, results_dir):
-    # n_workers=2 exercises the batched parallel engine on real FL training;
-    # values are identical to serial (collision-resistant per-coalition seeds).
     rows = run_once(
         benchmark,
         tables.table4,
@@ -32,7 +30,6 @@ def test_table4_mlp(benchmark, bench_scale, results_dir):
         client_counts=(3, 6, 10),
         models=("mlp",),
         seed=0,
-        n_workers=2,
     )
     save_report(results_dir, "table4_mlp", render_table(rows, "Table IV — femnist-like / MLP"))
 

@@ -4,13 +4,14 @@ The script builds a small synthetic classification federation, computes the
 exact Shapley values (feasible for four clients), runs the paper's IPSS
 approximation under a tight sampling budget, and compares the two.
 
-Parallelism: ``CoalitionUtility`` accepts ``n_workers`` (and an ``executor``
-backend — ``"serial"``, ``"thread"`` or ``"process"``).  Algorithms hand their
-whole coalition plan to the oracle in one batch, so with ``n_workers > 1`` the
-per-coalition FL trainings run concurrently while the estimated values stay
+Speed: ``CoalitionUtility`` accepts an ``executor`` backend — ``"serial"``
+(default) or ``"vectorized"``.  Algorithms hand their whole coalition plan to
+the oracle in one batch, so the vectorized backend trains the batch's
+coalitions in lockstep on stacked parameters while the estimated values stay
 bitwise-identical to serial execution (per-coalition training seeds are
-derived from the coalition itself, independent of evaluation order or worker
-assignment).
+derived from the coalition itself, independent of evaluation order).  To
+spread trainings over several processes or hosts, use the fleet backend
+(``repro run --backend fleet --spawn-workers N``, see ``docs/fleet.md``).
 
 Run with::
 
@@ -50,8 +51,8 @@ def main() -> None:
 
     # 2. Wrap everything in a coalition-utility oracle: U(S) is the test
     #    accuracy of a model trained federatedly on the clients in S.
-    #    n_workers=2 trains the coalitions of each batch concurrently
-    #    (values are identical to n_workers=1, just faster on real tasks).
+    #    executor="vectorized" trains the coalitions of each batch in
+    #    lockstep (values are identical to serial, just faster).
     utility = CoalitionUtility(
         client_datasets=client_datasets,
         test_dataset=test,
@@ -60,7 +61,7 @@ def main() -> None:
         ),
         config=FLConfig(rounds=3, local_epochs=1),
         seed=SEED,
-        n_workers=2,
+        executor="vectorized",
     )
 
     # 3. Exact Shapley values (2^4 = 16 FL trainings).

@@ -23,7 +23,7 @@ def run(backend):
         scale=ExperimentScale.tiny(),
         seed=0,
     )
-    utility.set_n_workers(1, backend)
+    utility.set_executor(backend)
     values = IPSS(total_rounds=sampling_rounds_for(6), seed=0).run(utility, 6).values
     return values, utility.evaluations, utility
 

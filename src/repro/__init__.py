@@ -9,7 +9,8 @@ The package is organised in five layers:
 * :mod:`repro.core` — the valuation algorithms: exact Shapley schemes, the
   unified stratified sampling framework, K-Greedy, IPSS and nine baselines.
 * :mod:`repro.parallel` — batched coalition-evaluation engine: a batch-capable
-  utility oracle with serial/thread/process executors (``n_workers``).
+  utility oracle with serial, vectorized (lockstep) and fleet (multi-process)
+  executors.
 * :mod:`repro.store` — persistent, content-addressed coalition-utility store
   (SQLite / sharded JSONL) shared across processes and runs.
 * :mod:`repro.scenarios` — composable client-behavior scenarios (free riders,
@@ -97,7 +98,7 @@ def quick_valuation(
         client_datasets=clients,
         test_dataset=test,
         # partial, not a lambda: the oracle stays picklable, so this helper
-        # also works under the process executor backend (RPR004).
+        # also works under the fleet backend's workers (RPR004).
         model_factory=partial(
             LogisticRegressionModel, n_features=8, n_classes=3, epochs=5
         ),

@@ -20,8 +20,9 @@ RPR002    ambient-state-read           no wall-clock/environment reads: content
                                        declared inputs
 RPR003    unstable-iteration-order     no numeric folds over hash-ordered set
                                        iteration; ``sorted(...)`` first
-RPR004    unpicklable-callable         callables crossing the process backend
-                                       must pickle (no lambdas/closures)
+RPR004    unpicklable-callable         callables crossing the fleet pickling
+                                       boundary must pickle (no lambdas or
+                                       closures)
 RPR005    checkpoint-incomplete        incremental estimators keep all state in
                                        the checkpointable payload and the
                                        framework-serialized rng

@@ -19,27 +19,28 @@ from repro.analysis.rules import Rule, register_rule
 _SUBMISSION_FUNCS = frozenset({"evaluate_batch", "map_utilities", "submit"})
 
 #: keyword arguments whose value crosses the process boundary (the evaluator
-#: an executor pickles, the model factory a spec rebuilds in a worker)
+#: the fleet pickles into its queue, the model factory a spec rebuilds in a
+#: worker)
 _PICKLED_KEYWORDS = frozenset({"evaluator", "model_factory"})
 
 
 @register_rule
 class UnpicklableCallable(Rule):
-    """RPR004 — callables crossing the process backend must be picklable.
+    """RPR004 — callables crossing the fleet pickling boundary must pickle.
 
     Lambdas and locally-defined functions cannot be pickled; handing one to an
     executor submission path, or storing one as a spec's ``model_factory`` /
-    an oracle's ``evaluator``, works under the serial and thread backends and
-    then breaks the moment ``--backend process`` is selected (the regression
-    class fixed in the PR 4 review).  Use a module-level function or
-    ``functools.partial`` — the round-trip contract is pinned by
-    ``tests/test_picklability.py``.
+    an oracle's ``evaluator``, works under the in-process serial and
+    vectorized backends and then breaks the moment ``--backend fleet``
+    pickles the evaluator into its queue for worker processes.  Use a
+    module-level function or ``functools.partial`` — the round-trip contract
+    is pinned by ``tests/test_picklability.py``.
     """
 
     code = "RPR004"
     name = "unpicklable-callable"
     summary = (
-        "lambdas / local functions must not cross the process backend: use "
+        "lambdas / local functions must not cross the fleet pickling boundary: use "
         "module-level functions or functools.partial "
         "(contract: tests/test_picklability.py)"
     )
@@ -92,7 +93,7 @@ class UnpicklableCallable(Rule):
             yield self.finding(
                 ctx,
                 value,
-                f"lambda passed to {where}: the process backend must pickle "
+                f"lambda passed to {where}: the fleet backend must pickle "
                 "this callable and lambdas cannot be pickled; use a "
                 "module-level function or functools.partial "
                 "(see tests/test_picklability.py)",
@@ -102,7 +103,7 @@ class UnpicklableCallable(Rule):
                 ctx,
                 value,
                 f"locally-defined function {value.id!r} passed to {where}: "
-                "closures cannot be pickled by the process backend; hoist it "
+                "closures cannot be pickled for fleet workers; hoist it "
                 "to module level or use functools.partial "
                 "(see tests/test_picklability.py)",
             )
@@ -140,7 +141,9 @@ class UnlockedSharedMutation(Rule):
     """RPR006 — lock-disciplined classes mutate shared state only under lock.
 
     A class that owns a lock (``self._lock`` or any lock-named attribute) has
-    declared that its attributes are shared across threads; every write to
+    declared that its attributes are shared across threads (service job
+    threads and HTTP handlers share one store, fleet workers run a heartbeat
+    thread, and callers may share one oracle); every write to
     ``self``-rooted state in its methods must then happen inside a
     ``with <lock>:`` block.  ``__init__``/``__post_init__`` run before the
     object is shared and are exempt, and a helper whose docstring states the

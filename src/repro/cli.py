@@ -89,9 +89,11 @@ from typing import Optional, Sequence
 from repro.experiments.config import ExperimentScale
 from repro.experiments.pipeline import (
     DEFAULT_ALGORITHMS,
+    FLEET_FIELDS,
     ExperimentPlan,
     RunReport,
     available_algorithms,
+    check_backend,
     resume_run,
     run_plan,
 )
@@ -113,6 +115,30 @@ from repro.telemetry.report import (
 from repro.version import __version__
 
 _SCALE_NAMES = ("tiny", "small", "paper")
+
+
+def _add_backend_argument(
+    parser: argparse.ArgumentParser,
+    flag: str,
+    field_name: str,
+    choices: Sequence[str],
+    **kwargs,
+) -> None:
+    """Add a backend flag checked once, by its ``type=``: a retired name gets
+    the replacement spelled out instead of a bare "invalid choice"."""
+
+    def parse(name: str) -> str:
+        try:
+            check_backend(field_name, name, choices)
+        except ValueError as error:
+            # argparse already names the flag
+            message = str(error).removeprefix(f"{field_name}: ")
+            raise argparse.ArgumentTypeError(message) from None
+        return name
+
+    parser.add_argument(
+        flag, type=parse, metavar="{" + ",".join(choices) + "}", **kwargs
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,13 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated names (default: {','.join(DEFAULT_ALGORITHMS)}; "
         f"known: {','.join(available_algorithms())})",
     )
-    run.add_argument("--n-workers", type=int, default=1)
-    run.add_argument(
+    _add_backend_argument(
+        run,
         "--backend",
-        choices=EXECUTOR_BACKENDS,
-        help="coalition-evaluation backend (default: serial, auto-threads "
-        "when --n-workers > 1); 'vectorized' trains whole coalition batches "
-        "in lockstep on stacked parameters — see docs/performance.md",
+        "backend",
+        EXECUTOR_BACKENDS,
+        help="coalition-evaluation backend (default: serial); 'vectorized' "
+        "trains whole coalition batches in lockstep on stacked parameters, "
+        "'fleet' spreads them over worker processes — see "
+        "docs/performance.md",
     )
     run.add_argument(
         "--queue-dir",
@@ -159,9 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet backend only: worker processes the run launches itself "
         "(default 0: rely on externally started `repro worker` processes)",
     )
-    run.add_argument(
+    _add_backend_argument(
+        run,
         "--worker-backend",
-        choices=WORKER_BACKENDS,
+        "worker_backend",
+        WORKER_BACKENDS,
         help="fleet backend only: executor each worker evaluates with "
         "(default: serial)",
     )
@@ -184,17 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
         "deposit into the shared store",
     )
     worker.add_argument("queue_dir", help="lease-queue directory shared with the run")
-    worker.add_argument(
+    _add_backend_argument(
+        worker,
         "--backend",
-        choices=WORKER_BACKENDS,
+        "backend",
+        WORKER_BACKENDS,
         default="serial",
         help="executor used inside this worker (default: serial)",
-    )
-    worker.add_argument(
-        "--n-workers",
-        type=int,
-        default=1,
-        help="concurrency level for this worker's internal executor",
     )
     worker.add_argument(
         "--lease-seconds",
@@ -283,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--stop-on", metavar="SPEC")
     submit.add_argument("--checkpoint-every", type=int, default=1, metavar="N")
-    submit.add_argument("--backend", choices=EXECUTOR_BACKENDS)
-    submit.add_argument("--n-workers", type=int, default=1)
+    _add_backend_argument(submit, "--backend", "backend", EXECUTOR_BACKENDS)
     submit.add_argument(
         "--wait", action="store_true", help="block until the job is terminal"
     )
@@ -508,6 +533,10 @@ def _plan_from_args(args) -> ExperimentPlan:
         if args.backend:
             # Executor choice is machine-local, not plan content: a CLI
             # override neither changes values nor the plan fingerprint.
+            # Leaving the fleet drops the plan's fleet fields with it; fleet
+            # flags given alongside a non-fleet backend are still rejected.
+            if args.backend != "fleet":
+                overrides = {**dict(FLEET_FIELDS), **overrides}
             overrides["backend"] = args.backend
         if overrides:
             plan = dataclasses.replace(plan, **overrides)
@@ -524,7 +553,6 @@ def _plan_from_args(args) -> ExperimentPlan:
     return ExperimentPlan(
         tasks=(spec,),
         algorithms=_algorithms_from_args(args) or DEFAULT_ALGORITHMS,
-        n_workers=args.n_workers,
         backend=args.backend,
         **_fleet_overrides(args),
     )
@@ -710,7 +738,6 @@ def _cmd_worker(args) -> int:
     stats = run_worker(
         args.queue_dir,
         backend=args.backend,
-        n_workers=args.n_workers,
         lease_seconds=args.lease_seconds,
         poll_interval=args.poll_interval,
         max_batches=args.max_batches,
@@ -774,7 +801,6 @@ def _cmd_run_scenarios(args) -> int:
             scale=args.scale,
             seed=args.seed,
             store=store,
-            n_workers=args.n_workers,
             backend=args.backend,
             resume=args.resume,
             log=None if quiet else lambda message: print(message, file=sys.stderr),
@@ -895,8 +921,6 @@ def _submit_spec_from_args(args) -> dict:
         payload["stop_on"] = args.stop_on
     if args.backend:
         payload["backend"] = args.backend
-    if args.n_workers != 1:
-        payload["n_workers"] = args.n_workers
     return payload
 
 

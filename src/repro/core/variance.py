@@ -151,7 +151,6 @@ def empirical_scheme_variance(
     seed: SeedLike = None,
     store=None,
     store_namespace: Optional[str] = None,
-    n_workers: int = 1,
 ) -> VarianceComparison:
     """Run Alg. 1 repeatedly with both schemes and measure estimator variance.
 
@@ -159,7 +158,7 @@ def empirical_scheme_variance(
     sampling budget are used for both schemes; only the pairing rule differs.
 
     With ``store=`` (a :class:`~repro.store.UtilityStore` instance or a path)
-    and/or ``n_workers > 1`` the raw oracle is wrapped in one shared
+    the raw oracle is wrapped in one shared
     :class:`~repro.parallel.BatchUtilityOracle` for the whole sweep, so the
     2 × ``repetitions`` stratified runs reuse every already-evaluated
     coalition (within the sweep *and* across processes sharing the store)
@@ -184,13 +183,12 @@ def empirical_scheme_variance(
 
     oracle = utility
     owns_oracle = False
-    if store is not None or n_workers > 1:
+    if store is not None:
         from repro.parallel import BatchUtilityOracle
 
         oracle = BatchUtilityOracle(
             utility,
             n_clients=n_clients,
-            n_workers=n_workers,
             store=store,
             store_namespace=store_namespace,
         )

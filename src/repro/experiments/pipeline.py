@@ -158,22 +158,108 @@ def load_estimator_checkpoint(
     return state
 
 
+#: executor backends that were removed: old plans, job specs and scripts
+#: still name them, so they fail with the replacement spelled out
+RETIRED_BACKENDS = ("thread", "process")
+
+#: ``(field, default)`` of the execution fields only the fleet backend reads
+FLEET_FIELDS = (
+    ("queue_dir", None),
+    ("spawn_workers", 0),
+    ("worker_backend", None),
+    ("lease_seconds", 30.0),
+)
+
+
+def check_backend(field_name: str, name: str, choices: Sequence[str]) -> None:
+    """Reject a backend name outside ``choices``, naming the field."""
+    if name in RETIRED_BACKENDS:
+        raise ValueError(
+            f"{field_name}: the {name!r} backend was removed; use 'vectorized' "
+            "to train batches in lockstep in one process, or "
+            "'fleet --spawn-workers N' to evaluate across N worker processes"
+        )
+    if name not in choices:
+        raise ValueError(
+            f"{field_name}: unknown {field_name.replace('_', ' ')} {name!r}; "
+            f"choose from {tuple(choices)}"
+        )
+
+
+def fleet_fields(execution) -> dict:
+    """The fleet-only fields of a plan or job spec that differ from default."""
+    return {
+        name: getattr(execution, name)
+        for name, default in FLEET_FIELDS
+        if getattr(execution, name) != default
+    }
+
+
+def drop_legacy_n_workers(payload: dict) -> dict:
+    """``payload`` without the retired ``n_workers`` field.
+
+    Run manifests written while the pooled backends existed always carry
+    ``"n_workers": 1``, so that value still loads and those run dirs resume.
+    Any other value asked for a pool that no longer exists and is rejected.
+    """
+    if "n_workers" not in payload:
+        return payload
+    payload = dict(payload)
+    value = payload.pop("n_workers")
+    if value != 1:
+        raise ValueError(
+            f"n_workers: {value!r} is not supported; the field was removed "
+            "with the pooled backends and only its legacy value 1 still "
+            "loads.  Use backend 'vectorized', or 'fleet --spawn-workers N' "
+            "for N worker processes"
+        )
+    return payload
+
+
+def stored_execution(payload: dict) -> dict:
+    """A stored plan or job spec with its execution fields mapped onto what
+    the version that wrote it actually ran.
+
+    The strict checks are for submitted input.  A run manifest or a job row
+    written while the pooled backends existed must still load, so:
+
+    * ``n_workers`` (any value) sized a pool that no longer exists: dropped;
+    * a retired ``backend``/``worker_backend`` becomes ``'serial'``, which
+      evaluates the same coalitions to the same values;
+    * fleet-only fields next to a non-fleet backend were ignored: dropped.
+    """
+    payload = dict(payload)
+    payload.pop("n_workers", None)
+    for field_name in ("backend", "worker_backend"):
+        if payload.get(field_name) in RETIRED_BACKENDS:
+            payload[field_name] = "serial"
+    if payload.get("backend") != "fleet":
+        for name, _default in FLEET_FIELDS:
+            payload.pop(name, None)
+    return payload
+
+
 def validate_execution(execution) -> None:
     """Reject bad execution fields of a plan or job spec, naming the field.
 
     ``execution`` is an :class:`ExperimentPlan` or a
-    :class:`~repro.service.models.JobSpec`: both carry the same six
-    machine-local execution choices (``backend``, ``n_workers``,
+    :class:`~repro.service.models.JobSpec`: both carry the same five
+    machine-local execution choices (``backend`` and the fleet-only
     ``queue_dir``, ``spawn_workers``, ``worker_backend``,
     ``lease_seconds``), checked here once for both.
     """
-    if execution.n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {execution.n_workers}")
-    if execution.backend is not None and execution.backend not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"unknown backend {execution.backend!r}; choose from {EXECUTOR_BACKENDS}"
-        )
-    if execution.backend == "fleet" and not execution.queue_dir:
+    if execution.backend is not None:
+        check_backend("backend", execution.backend, EXECUTOR_BACKENDS)
+    if execution.backend != "fleet":
+        given = list(fleet_fields(execution))
+        if given:
+            raise ValueError(
+                f"{', '.join(given)}: fleet-only, but backend is "
+                f"{execution.backend!r}; set backend 'fleet' or drop "
+                f"{'it' if len(given) == 1 else 'them'}"
+            )
+        return
+    if not execution.queue_dir:
         raise ValueError(
             "backend 'fleet' needs a queue directory (queue_dir= / "
             "--queue-dir) shared with its workers"
@@ -189,11 +275,7 @@ def validate_execution(execution) -> None:
     if execution.worker_backend is not None:
         from repro.fleet.coordinator import WORKER_BACKENDS
 
-        if execution.worker_backend not in WORKER_BACKENDS:
-            raise ValueError(
-                f"worker_backend: unknown worker backend "
-                f"{execution.worker_backend!r}; choose from {WORKER_BACKENDS}"
-            )
+        check_backend("worker_backend", execution.worker_backend, WORKER_BACKENDS)
 
 
 def build_cell_utility(
@@ -218,18 +300,17 @@ def build_cell_utility(
             # bind_store hook then ships the store identity to workers.
             from repro.fleet.coordinator import FleetExecutor
 
-            utility.set_n_workers(
-                execution.n_workers,
+            utility.set_executor(
                 FleetExecutor(
                     queue_dir=execution.queue_dir,
                     spawn_workers=execution.spawn_workers,
                     worker_backend=execution.worker_backend or "serial",
                     lease_seconds=execution.lease_seconds,
                     log=say,
-                ),
+                )
             )
-        elif execution.n_workers > 1 or execution.backend is not None:
-            utility.set_n_workers(execution.n_workers, execution.backend)
+        elif execution.backend is not None:
+            utility.set_executor(execution.backend)
         if telemetry is not None:
             utility.set_telemetry(telemetry)
     except BaseException:
@@ -259,21 +340,19 @@ class ExperimentPlan:
     algorithm runs on every task, and each (task, algorithm) pair is one
     resumable cell.  ``backend`` picks the coalition-evaluation executor
     (:data:`~repro.parallel.executors.EXECUTOR_BACKENDS`; ``None`` keeps the
-    oracle's automatic serial/thread choice) and is recorded in the manifest
-    alongside ``n_workers``.
+    oracle's serial default) and is recorded in the manifest.
 
     The ``fleet`` backend additionally needs ``queue_dir`` (the shared lease
     queue directory) and accepts ``spawn_workers`` (worker processes the run
     launches itself; 0 relies on external ``repro worker`` processes),
     ``worker_backend`` (each worker's internal executor) and
-    ``lease_seconds``.  All of these are machine-local execution choices —
-    like ``n_workers`` they never enter the plan fingerprint.
+    ``lease_seconds``; other backends reject these fields.  All of them are
+    machine-local execution choices that never enter the plan fingerprint.
     """
 
     tasks: tuple
     algorithms: tuple = DEFAULT_ALGORITHMS
     name: str = "run"
-    n_workers: int = 1
     backend: Optional[str] = None
     queue_dir: Optional[str] = None
     spawn_workers: int = 0
@@ -295,7 +374,7 @@ class ExperimentPlan:
     def fingerprint(self) -> str:
         """Content address of the plan (tasks + algorithms, not concurrency).
 
-        ``n_workers``, ``backend``, ``name`` and the fleet execution fields
+        ``backend``, ``name`` and the fleet execution fields
         (``queue_dir``, ``spawn_workers``, ``worker_backend``,
         ``lease_seconds``) are deliberately excluded: resuming a campaign on
         a beefier machine, under a different label or on a different
@@ -324,18 +403,10 @@ class ExperimentPlan:
             "name": self.name,
             "tasks": [spec.to_dict() for spec in self.tasks],
             "algorithms": list(self.algorithms),
-            "n_workers": self.n_workers,
         }
         if self.backend is not None:
             payload["backend"] = self.backend
-        if self.queue_dir is not None:
-            payload["queue_dir"] = self.queue_dir
-        if self.spawn_workers:
-            payload["spawn_workers"] = self.spawn_workers
-        if self.worker_backend is not None:
-            payload["worker_backend"] = self.worker_backend
-        if self.lease_seconds != 30.0:
-            payload["lease_seconds"] = self.lease_seconds
+        payload.update(fleet_fields(self))
         return payload
 
     @classmethod
@@ -344,7 +415,7 @@ class ExperimentPlan:
             "name",
             "tasks",
             "algorithms",
-            "n_workers",
+            "n_workers",  # legacy, see drop_legacy_n_workers
             "backend",
             "queue_dir",
             "spawn_workers",
@@ -355,13 +426,13 @@ class ExperimentPlan:
             # A typo in a plan file ("algorithm" for "algorithms") must fail
             # loudly, not silently run hours of the default campaign.
             raise ValueError(f"unknown ExperimentPlan fields: {sorted(unknown)}")
+        payload = drop_legacy_n_workers(payload)
         if "tasks" not in payload:
             raise ValueError("an ExperimentPlan requires a 'tasks' list")
         return cls(
             tasks=tuple(TaskSpec.from_dict(t) for t in payload["tasks"]),
             algorithms=tuple(payload.get("algorithms", DEFAULT_ALGORITHMS)),
             name=payload.get("name", "run"),
-            n_workers=int(payload.get("n_workers", 1)),
             backend=payload.get("backend"),
             queue_dir=payload.get("queue_dir"),
             spawn_workers=int(payload.get("spawn_workers", 0)),
@@ -569,7 +640,7 @@ def resume_run(
     manifest = load_manifest(run_dir)
     if manifest is None:
         raise ValueError(f"no manifest found in {run_dir!r}; nothing to resume")
-    plan = ExperimentPlan.from_dict(manifest["plan"])
+    plan = ExperimentPlan.from_dict(stored_execution(manifest["plan"]))
     return run_plan(
         plan,
         run_dir,

@@ -28,7 +28,6 @@ from repro.core import (
     rank_correlation,
     relative_error_l2,
 )
-from repro.core.base import GradientBasedValuation, SupportsBatchEvaluation
 from repro.core.result import ValuationResult
 from repro.experiments.config import sampling_rounds_for
 from repro.utils.rng import SeedLike
@@ -154,7 +153,6 @@ def run_comparison(
     exact_values: Optional[np.ndarray] = None,
     task_label: str = "",
     skip_failures: bool = True,
-    n_workers: Optional[int] = None,
 ) -> AlgorithmComparison:
     """Run every algorithm on the oracle and score it against the exact values.
 
@@ -166,14 +164,9 @@ def run_comparison(
     exception type) in :attr:`AlgorithmComparison.skipped` so empty cells stay
     distinguishable from crashes.
 
-    ``n_workers`` configures batched parallel coalition evaluation: oracles
-    exposing ``set_n_workers`` (:class:`repro.fl.CoalitionUtility`) are
-    reconfigured for the duration of the comparison and restored afterwards,
-    and plain callables are wrapped in a memoising
-    :class:`repro.parallel.BatchUtilityOracle` (for *any* ``n_workers``, so
-    the reported evaluation counts do not depend on the concurrency level).
-    Values are unaffected — parallel evaluation is bitwise-identical to
-    serial.
+    The oracle is used as configured: its executor backend (see
+    :meth:`repro.parallel.BatchUtilityOracle.set_executor`) changes cost,
+    never values.
     """
     if n_clients is not None:
         n = int(n_clients)
@@ -187,67 +180,33 @@ def run_comparison(
             )
         n = int(n)
     comparison = AlgorithmComparison(task_label=task_label)
-    previous_n_workers: Optional[int] = None
-    previous_executor = None
-    wrapped_oracle = None
-    if n_workers is not None:
-        set_workers = getattr(utility, "set_n_workers", None)
-        if callable(set_workers):
-            previous_n_workers = int(getattr(utility, "n_workers", 1))
-            previous_executor = getattr(utility, "executor", None)
-            set_workers(n_workers)
-        elif not isinstance(utility, SupportsBatchEvaluation):
-            from repro.parallel import BatchUtilityOracle
-
-            wrapped_oracle = BatchUtilityOracle(
-                utility, n_clients=n, n_workers=n_workers
-            )
-            utility = wrapped_oracle
     reset_cache = getattr(utility, "reset_cache", None)
 
     results: list[tuple[object, ValuationResult]] = []
-    try:
-        for algorithm in algorithms:
-            # Every algorithm pays its own FL-training cost, as in the paper's
-            # per-algorithm wall-clock measurements: warm cache entries left by
-            # a previously run algorithm are dropped first.
-            if callable(reset_cache):
-                reset_cache()
-            try:
-                result = algorithm.run(utility, n)
-            except (TypeError, ValueError) as error:
-                if skip_failures:
-                    comparison.skipped.append(
-                        SkippedAlgorithm(
-                            algorithm=getattr(
-                                algorithm, "name", type(algorithm).__name__
-                            ),
-                            reason=str(error),
-                            error_type=type(error).__name__,
-                        )
+    for algorithm in algorithms:
+        # Every algorithm pays its own FL-training cost, as in the paper's
+        # per-algorithm wall-clock measurements: warm cache entries left by
+        # a previously run algorithm are dropped first.
+        if callable(reset_cache):
+            reset_cache()
+        try:
+            result = algorithm.run(utility, n)
+        except (TypeError, ValueError) as error:
+            if skip_failures:
+                comparison.skipped.append(
+                    SkippedAlgorithm(
+                        algorithm=getattr(
+                            algorithm, "name", type(algorithm).__name__
+                        ),
+                        reason=str(error),
+                        error_type=type(error).__name__,
                     )
-                    continue
-                raise error
-            results.append((algorithm, result))
-            if exact_values is None and isinstance(algorithm, MCShapley):
-                exact_values = result.values
-    finally:
-        # The caller's oracle must come back in its original configuration
-        # (count *and* backend: a pooled executor instance re-spawns its
-        # workers lazily if reused), and any worker pool we created must be
-        # torn down deterministically.
-        if previous_n_workers is not None:
-            if previous_executor is None:
-                set_workers(previous_n_workers)
-            else:
-                try:
-                    set_workers(previous_n_workers, previous_executor)
-                except TypeError:
-                    # Duck-typed oracles may implement the single-argument
-                    # set_n_workers(n) form even while exposing `executor`.
-                    set_workers(previous_n_workers)
-        if wrapped_oracle is not None:
-            wrapped_oracle.close()
+                )
+                continue
+            raise error
+        results.append((algorithm, result))
+        if exact_values is None and isinstance(algorithm, MCShapley):
+            exact_values = result.values
 
     comparison.exact_values = (
         None if exact_values is None else np.asarray(exact_values, dtype=float)
@@ -285,7 +244,6 @@ def run_spec(
     exact_values: Optional[np.ndarray] = None,
     include_perm: bool = False,
     include_gradient: bool = True,
-    n_workers: Optional[int] = None,
     skip_failures: bool = True,
 ) -> AlgorithmComparison:
     """Run a comparison on a declaratively specified task.
@@ -314,5 +272,4 @@ def run_spec(
             exact_values=exact_values,
             task_label=spec.label(),
             skip_failures=skip_failures,
-            n_workers=n_workers,
         )

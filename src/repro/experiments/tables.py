@@ -30,14 +30,12 @@ def _comparison_rows(
     include_gradient: bool,
     include_perm: bool,
     store: StoreLike = None,
-    n_workers: Optional[int] = None,
 ) -> list[dict]:
     comparison = run_spec(
         spec,
         store=store,
         include_perm=include_perm,
         include_gradient=include_gradient,
-        n_workers=n_workers,
     )
     rows = []
     for row in comparison.rows:
@@ -61,16 +59,14 @@ def table4(
     models: Sequence[str] = ("mlp", "cnn"),
     include_perm: bool = False,
     seed: int = 0,
-    n_workers: Optional[int] = None,
     store: StoreLike = None,
 ) -> list[dict]:
     """Table IV: FEMNIST-style results for MLP and CNN FL models.
 
     Returns one row per (model, n, algorithm) with time, evaluation count and
     relative error.  ``include_perm`` adds the Perm-Shapley exact baseline
-    (very slow; disabled by default).  ``n_workers`` enables parallel batched
-    coalition training and ``store`` persists trained coalition utilities
-    across invocations (values are unchanged in both cases).
+    (very slow; disabled by default).  ``store`` persists trained coalition
+    utilities across invocations (values are unchanged).
     """
     scale = scale or ExperimentScale.small()
     rows: list[dict] = []
@@ -90,7 +86,6 @@ def table4(
                     include_gradient=True,
                     include_perm=include_perm,
                     store=store,
-                    n_workers=n_workers,
                 )
             )
     return rows
@@ -102,15 +97,14 @@ def table5(
     models: Sequence[str] = ("mlp", "xgb"),
     include_perm: bool = False,
     seed: int = 0,
-    n_workers: Optional[int] = None,
     store: StoreLike = None,
 ) -> list[dict]:
     """Table V: Adult-style results for MLP and XGBoost FL models.
 
     Gradient-based baselines are automatically excluded for the XGBoost model
     (they require parametric FL training), matching the "\\" cells in the
-    paper's table.  ``n_workers`` enables parallel batched coalition training
-    and ``store`` persists trained coalition utilities across invocations.
+    paper's table.  ``store`` persists trained coalition utilities across
+    invocations.
     """
     scale = scale or ExperimentScale.small()
     rows: list[dict] = []
@@ -131,7 +125,6 @@ def table5(
                     include_gradient=include_gradient,
                     include_perm=include_perm,
                     store=store,
-                    n_workers=n_workers,
                 )
             )
     return rows

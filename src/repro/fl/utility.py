@@ -8,10 +8,10 @@ against a single callable interface: ``utility(coalition) -> float``.
 same coalition twice would be wasted work), counts the FL trainings actually
 performed — the hardware-independent cost model used in EXPERIMENTS.md
 alongside wall-clock times — and speaks the *batch-oracle protocol*
-(``evaluate_batch(coalitions) -> {coalition: utility}``), training misses
-concurrently when ``n_workers > 1`` (see :mod:`repro.parallel`).
-Per-coalition training seeds are content-derived and collision-resistant, so
-parallel evaluation returns bitwise-identical utilities to serial execution.
+(``evaluate_batch(coalitions) -> {coalition: utility}``), training misses on
+the chosen executor (see :mod:`repro.parallel`).  Per-coalition training
+seeds are content-derived and collision-resistant, so every backend returns
+bitwise-identical utilities to serial execution.
 """
 
 from __future__ import annotations
@@ -42,19 +42,15 @@ class CoalitionUtility(BatchUtilityOracle):
         FL training configuration.
     seed:
         Base seed making coalition training deterministic.
-    n_workers:
-        Concurrency level for batched evaluations (``evaluate_batch``): with
-        ``n_workers > 1`` misses inside a batch are trained in parallel on
-        the chosen executor.  ``1`` (default) stays strictly sequential.
     executor:
-        Backend for batched evaluation: ``"serial"``, ``"thread"``,
-        ``"process"``, ``"vectorized"``, an existing executor instance, or
-        ``None`` to choose automatically.  The process backend requires the
-        model factory and datasets to be picklable (no lambdas); the
-        vectorized backend trains miss batches in lockstep on stacked
-        parameter matrices when the model supports it (linear, logistic,
-        MLP) and falls back to the serial loop otherwise — see
-        ``docs/performance.md`` for the backend matrix.
+        Backend for batched evaluation (``evaluate_batch``): ``"serial"``,
+        ``"vectorized"``, an existing executor instance (a
+        :class:`~repro.fleet.FleetExecutor` needs a picklable model factory
+        — no lambdas), or ``None`` for serial.  The vectorized backend
+        trains miss batches in lockstep on stacked parameter matrices when
+        the model supports it (linear, logistic, MLP) and falls back to the
+        serial loop otherwise — see ``docs/performance.md`` for the backend
+        matrix.
     store:
         Optional persistent utility store (instance or path) beneath the
         memo: trained utilities are written through and survive the process,
@@ -80,7 +76,6 @@ class CoalitionUtility(BatchUtilityOracle):
         model_factory: ModelFactory,
         config: Optional[FLConfig] = None,
         seed: SeedLike = 0,
-        n_workers: int = 1,
         executor: ExecutorLike = None,
         store: StoreLike = None,
         store_namespace: Optional[str] = None,
@@ -99,7 +94,6 @@ class CoalitionUtility(BatchUtilityOracle):
         super().__init__(
             self.trainer.utility,
             n_clients=self.trainer.n_clients,
-            n_workers=n_workers,
             executor=executor,
             store=store,
             store_namespace=store_namespace,

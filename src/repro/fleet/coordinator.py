@@ -1,6 +1,6 @@
 """The fleet coordinator: enqueue coalition batches, block on store deposits.
 
-:class:`FleetExecutor` is the fifth coalition-executor backend: instead of
+:class:`FleetExecutor` is the multi-process coalition-executor backend: instead of
 evaluating a miss batch in-process, it chunks the batch onto the durable
 :class:`~repro.fleet.queue.LeaseQueue`, lets any number of worker processes
 (on this or other hosts sharing the queue directory and store path) drain
@@ -19,7 +19,7 @@ The executor needs two things wired up before its first batch:
 * a *disk-backed* store and namespace, delivered by
   :meth:`bind_store` (the oracle calls it whenever store or executor
   change) — memory stores cannot cross processes and are rejected;
-* a picklable evaluator (same rule as the process pool), shipped to workers
+* a picklable evaluator (no lambdas; lint rule RPR004), shipped to workers
   once per run via the queue's payload table.
 
 Failure semantics: a worker dying mid-batch stops renewing its lease; the
@@ -43,13 +43,12 @@ from repro.parallel.executors import CoalitionExecutor, Evaluator, SerialExecuto
 from repro.store import MemoryUtilityStore, UtilityStore, utility_key
 
 #: executor backends a worker may run internally (no fleet-in-fleet)
-WORKER_BACKENDS = ("serial", "thread", "process", "vectorized")
+WORKER_BACKENDS = ("serial", "vectorized")
 
 
 def spawn_worker(
     queue_dir: str,
     backend: str = "serial",
-    n_workers: int = 1,
     lease_seconds: float = 30.0,
     poll_interval: float = 0.05,
     log_path: Optional[str] = None,
@@ -79,8 +78,6 @@ def spawn_worker(
         queue_dir,
         "--backend",
         backend,
-        "--n-workers",
-        str(int(n_workers)),
         "--lease-seconds",
         str(float(lease_seconds)),
         "--poll-interval",
@@ -114,8 +111,9 @@ class FleetExecutor(CoalitionExecutor):
     spawn_workers:
         Workers this executor launches (and supervises) itself; ``0`` means
         workers are started externally via ``repro worker <queue-dir>``.
-    worker_backend / worker_n_workers:
-        Executor each worker evaluates with internally.
+    worker_backend:
+        Executor each worker evaluates with internally
+        (:data:`WORKER_BACKENDS`).
     poll_interval:
         Coordinator poll cadence while blocked on results.
     stall_timeout:
@@ -132,7 +130,6 @@ class FleetExecutor(CoalitionExecutor):
         lease_seconds: float = 30.0,
         spawn_workers: int = 0,
         worker_backend: str = "serial",
-        worker_n_workers: int = 1,
         poll_interval: float = 0.05,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         stall_timeout: Optional[float] = 120.0,
@@ -152,7 +149,6 @@ class FleetExecutor(CoalitionExecutor):
         self.lease_seconds = float(lease_seconds)
         self.spawn_workers = int(spawn_workers)
         self.worker_backend = worker_backend
-        self.worker_n_workers = int(worker_n_workers)
         self.poll_interval = float(poll_interval)
         self.max_attempts = int(max_attempts)
         self.stall_timeout = stall_timeout
@@ -254,7 +250,6 @@ class FleetExecutor(CoalitionExecutor):
                 spawn_worker(
                     self.queue_dir,
                     backend=self.worker_backend,
-                    n_workers=self.worker_n_workers,
                     lease_seconds=self.lease_seconds,
                     poll_interval=self.poll_interval,
                     log_path=self._worker_log_path(index),

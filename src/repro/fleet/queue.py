@@ -89,8 +89,8 @@ CREATE TABLE IF NOT EXISTS workers (
 class WorkPayload:
     """Everything a worker needs to evaluate one run's batches.
 
-    The evaluator must be picklable (the same requirement the process
-    backend imposes); the store travels as a *path + backend name*, never as
+    The evaluator must be picklable (the contract rule RPR004 checks and
+    ``tests/test_picklability.py`` pins); the store travels as a *path + backend name*, never as
     a live handle — each worker opens its own connection.  ``journal_path``
     and ``parent_span`` let worker-side ``fleet.claim``/``fleet.batch``
     spans land in the coordinating run's telemetry journal.
@@ -109,8 +109,7 @@ class WorkPayload:
         except Exception as error:
             raise ValueError(
                 "fleet work payloads must be picklable (RPR004): the "
-                "evaluator travels to worker processes exactly like the "
-                f"process backend's — {error}"
+                f"evaluator travels to worker processes — {error}"
             ) from error
 
     @classmethod

@@ -77,7 +77,6 @@ class _RunContext:
         self,
         payload: WorkPayload,
         backend: str,
-        n_workers: int,
         queue: LeaseQueue,
         worker_id: str,
     ) -> None:
@@ -88,7 +87,6 @@ class _RunContext:
         self.store = open_store(payload.store_path, payload.store_backend)
         self.oracle = BatchUtilityOracle(
             payload.evaluator,
-            n_workers=n_workers,
             executor=backend,
             store=RecordingStore(self.store, self.record_training),
             store_namespace=payload.namespace,
@@ -169,7 +167,6 @@ def default_worker_id() -> str:
 def run_worker(
     queue_dir: str,
     backend: str = "serial",
-    n_workers: int = 1,
     lease_seconds: float = 30.0,
     poll_interval: float = 0.05,
     max_batches: Optional[int] = None,
@@ -183,10 +180,10 @@ def run_worker(
 
     Parameters
     ----------
-    backend, n_workers:
+    backend:
         The executor each batch is evaluated with *inside* this worker —
-        ``"serial"`` (default) or ``"vectorized"`` are the intended choices;
-        thread/process pools compose too.
+        ``"serial"`` (default) or ``"vectorized"``
+        (:data:`~repro.fleet.coordinator.WORKER_BACKENDS`).
     lease_seconds:
         Lease length requested per claim; renewed at a third of this while a
         batch evaluates.
@@ -232,7 +229,7 @@ def run_worker(
                 time.sleep(poll_interval)
                 continue
             idle_clock = None
-            _serve_claim(queue, claim, contexts, backend, n_workers, lease_seconds, stats, say)
+            _serve_claim(queue, claim, contexts, backend, lease_seconds, stats, say)
     finally:
         for context in contexts.values():
             context.close()
@@ -245,13 +242,12 @@ def _context_for(
     contexts: Dict[str, _RunContext],
     run_id: str,
     backend: str,
-    n_workers: int,
     stats: WorkerStats,
 ) -> _RunContext:
     context = contexts.get(run_id)
     if context is None:
         context = _RunContext(
-            queue.run_payload(run_id), backend, n_workers, queue, stats.worker_id
+            queue.run_payload(run_id), backend, queue, stats.worker_id
         )
         if len(contexts) >= _CONTEXT_CACHE:
             evicted_id = next(iter(contexts))
@@ -266,13 +262,12 @@ def _serve_claim(
     claim: Claim,
     contexts: Dict[str, _RunContext],
     backend: str,
-    n_workers: int,
     lease_seconds: float,
     stats: WorkerStats,
     say: Callable[[str], None],
 ) -> None:
     """Evaluate one leased batch and retire it."""
-    context = _context_for(queue, contexts, claim.run_id, backend, n_workers, stats)
+    context = _context_for(queue, contexts, claim.run_id, backend, stats)
     claim_span = context.span(
         "fleet.claim", batch=claim.batch_id, size=len(claim.coalitions),
         attempt=claim.attempts, worker=stats.worker_id,

@@ -1,24 +1,24 @@
-"""Batched, parallel coalition-evaluation engine.
+"""Batched coalition-evaluation engine.
 
 Per-coalition FL training (the paper's cost τ) dominates every valuation
 algorithm, yet the algorithms themselves mostly *pre-enumerate* the coalitions
 they need.  This package turns that structure into throughput:
 
 * :class:`BatchUtilityOracle` — a utility oracle that accepts whole coalition
-  batches, deduplicates them against a concurrency-safe cache and trains the
-  misses concurrently;
-* :mod:`repro.parallel.executors` — the pluggable serial / thread / process /
-  vectorized / fleet backends behind it, all order-deterministic.  The
-  vectorized backend trains the whole miss batch in lockstep on stacked
-  parameter matrices (:mod:`repro.fl.vectorized`); the fleet backend
-  (:mod:`repro.fleet`) drains miss batches through a durable shared lease
-  queue served by independent worker processes/hosts; see
+  batches, deduplicates them against a concurrency-safe cache and hands the
+  misses to one executor call;
+* :mod:`repro.parallel.executors` — the serial / vectorized / fleet backends
+  behind it, all order-deterministic.  In one process, the vectorized
+  backend trains the whole miss batch in lockstep on stacked parameter
+  matrices (:mod:`repro.fl.vectorized`); across processes or hosts, the
+  fleet backend (:mod:`repro.fleet`) drains miss batches through a durable
+  shared lease queue served by independent worker processes; see
   ``docs/performance.md`` for the backend matrix.
 
 The valuation algorithms request their coalition batches through
 :meth:`repro.core.base.ValuationAlgorithm._batch_utilities`, which detects
 ``evaluate_batch`` on the oracle and falls back to sequential calls for plain
-callables — so the engine is opt-in and value-preserving: ``n_workers=4``
+callables — so the engine is opt-in and value-preserving: every backend
 produces bitwise-identical results to serial execution.
 """
 
@@ -26,9 +26,7 @@ from repro.parallel.batch_oracle import BatchUtilityOracle, coalition_batch_keys
 from repro.parallel.executors import (
     EXECUTOR_BACKENDS,
     CoalitionExecutor,
-    ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     VectorizedExecutor,
     make_executor,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "coalition_batch_keys",
     "CoalitionExecutor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
     "VectorizedExecutor",
     "make_executor",
     "EXECUTOR_BACKENDS",

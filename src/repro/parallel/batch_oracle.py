@@ -27,12 +27,13 @@ that provides
 ``evaluate_batch(coalitions) -> dict[frozenset, float]``
 
 (keys in first-appearance input order) gets handed every pre-enumerated
-coalition set in one call and may parallelise freely; a plain callable is fed
-the same coalitions one at a time, in the same order — so results are
-bitwise-identical either way.  Parallel evaluation is only sound because
-per-coalition training seeds are content-derived and collision-resistant
-(:meth:`repro.fl.federation.FederatedTrainer._coalition_seed`): no matter
-which worker trains a coalition, or in which order, it trains the same model.
+coalition set in one call and may train it in lockstep or across fleet
+workers; a plain callable is fed the same coalitions one at a time, in the
+same order — so results are bitwise-identical either way.  That is only
+sound because per-coalition training seeds are content-derived and
+collision-resistant (:meth:`repro.fl.federation.FederatedTrainer._coalition_seed`):
+no matter which worker trains a coalition, or in which order, it trains the
+same model.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ from typing import Callable, Iterable, Optional
 from repro.parallel.executors import (
     CoalitionExecutor,
     ExecutorLike,
-    ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     make_executor,
 )
 from repro.store import StoreLike, UtilityStore, resolve_store, utility_key
@@ -80,7 +79,7 @@ class Accounting:
 
 
 class BatchUtilityOracle:
-    """Memoised, batch-capable, optionally parallel utility oracle ``U(S)``.
+    """Memoised, batch-capable utility oracle ``U(S)``.
 
     Parameters
     ----------
@@ -89,16 +88,12 @@ class BatchUtilityOracle:
         ``FederatedTrainer.utility`` or any plain game function.
     n_clients:
         Number of clients; inferred from ``evaluator.n_clients`` when absent.
-    n_workers:
-        Concurrency level for misses inside a batch.  ``1`` (default) keeps
-        evaluation strictly sequential.
     executor:
-        Backend name (``"serial"``/``"thread"``/``"process"``/
-        ``"vectorized"``), an existing
-        :class:`~repro.parallel.executors.CoalitionExecutor`, or ``None`` to
-        choose automatically from ``n_workers``.  Process pools require a
-        picklable evaluator; the vectorized backend trains miss batches in
-        lockstep on stacked parameters when the evaluator is a bound
+        Backend name (``"serial"``/``"vectorized"``), an existing
+        :class:`~repro.parallel.executors.CoalitionExecutor` (such as a
+        :class:`~repro.fleet.FleetExecutor`), or ``None`` for serial.  The
+        vectorized backend trains miss batches in lockstep on stacked
+        parameters when the evaluator is a bound
         :class:`~repro.fl.federation.FederatedTrainer` method with a
         vectorization-capable model (and falls back to the serial loop
         otherwise — see ``docs/performance.md``).
@@ -116,17 +111,15 @@ class BatchUtilityOracle:
         Optional :class:`~repro.telemetry.Telemetry` handle, passed on to the
         executor and the store.  When present, batches run inside
         ``oracle.batch`` spans, batch sizes feed the ``executor.batch_size``
-        histogram, lookups count ``cache.hit``/``store.hit``/``store.miss``,
-        and process-backend workers emit per-evaluation spans into the run
-        journal.  ``None`` (default) disables all of it; telemetry never
-        influences values, ordering, seeds or store keys.
+        histogram and lookups count ``cache.hit``/``store.hit``/``store.miss``.
+        ``None`` (default) disables all of it; telemetry never influences
+        values, ordering, seeds or store keys.
     """
 
     def __init__(
         self,
         evaluator: Callable[[Iterable[int]], float],
         n_clients: Optional[int] = None,
-        n_workers: int = 1,
         executor: ExecutorLike = None,
         store: StoreLike = None,
         store_namespace: Optional[str] = None,
@@ -141,7 +134,7 @@ class BatchUtilityOracle:
         self._in_flight: dict[frozenset, threading.Event] = {}
         self._accounting = Accounting()
         # Single lookups evaluate inline, whatever the batch backend: one
-        # coalition never goes to a process pool or the vectorized engine.
+        # coalition never goes to the fleet or the vectorized engine.
         self._inline = SerialExecutor()
         self._executor: Optional[CoalitionExecutor] = None
         self._store: Optional[UtilityStore] = None
@@ -149,7 +142,7 @@ class BatchUtilityOracle:
         self._namespace = "default"
         self._telemetry: Optional[Telemetry] = None
         self.attach_store(store, store_namespace)
-        self.set_n_workers(n_workers, executor)
+        self.set_executor(executor)
         if telemetry is not None:
             self.set_telemetry(telemetry)
 
@@ -181,7 +174,7 @@ class BatchUtilityOracle:
         Returns ``{coalition: utility}`` with keys in first-appearance input
         order, so callers that fold the results into floating-point sums see
         the same ordering — hence bitwise-identical values — regardless of
-        ``n_workers`` or backend.
+        backend.
         """
         keys = coalition_batch_keys(coalitions)
         if not keys:
@@ -262,15 +255,9 @@ class BatchUtilityOracle:
         misses = [key for key in keys if key not in stored]
         trained: dict[frozenset, float] = {}
         if misses:
-            evaluator = self._evaluator
-            if self._telemetry is not None and executor.name == "process":
-                # Worker processes cannot reach the tracer, but the journal
-                # pickles down to its path — wrap the evaluator so each
-                # worker evaluation lands as a `worker.eval` span parented
-                # under the current `oracle.batch` span.  The wrapper returns
-                # the evaluator's float unchanged.
-                evaluator = self._telemetry.wrap_worker_evaluator(evaluator)
-            trained = dict(zip(misses, executor.map_utilities(evaluator, misses)))
+            trained = dict(
+                zip(misses, executor.map_utilities(self._evaluator, misses))
+            )
             if store is not None:
                 for key, value in trained.items():
                     store.put(utility_key(namespace, key), value)
@@ -289,10 +276,6 @@ class BatchUtilityOracle:
     # Configuration
     # ------------------------------------------------------------------ #
     @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
-    @property
     def executor(self) -> CoalitionExecutor:
         return self._executor
 
@@ -301,32 +284,18 @@ class BatchUtilityOracle:
         """Registry name of the active executor backend (e.g. ``"serial"``)."""
         return self._executor.name
 
-    def set_n_workers(self, n_workers: int, executor: ExecutorLike = None) -> None:
-        """Reconfigure the concurrency level (and optionally the backend).
-
-        With ``executor=None`` the current backend is preserved: a process
-        pool stays a process pool (resized), a custom executor instance is
-        kept as-is, and only a serial backend auto-upgrades to threads when
-        ``n_workers > 1``.
-        """
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    def set_executor(self, executor: ExecutorLike) -> None:
+        """Switch the batch backend: a name, an instance, or ``None`` (serial)."""
         previous = self._executor
-        if executor is None:
-            if type(previous) in (ThreadPoolExecutor, ProcessPoolExecutor):
-                executor = type(previous)(n_workers)
-            elif previous is not None and type(previous) is not SerialExecutor:
-                executor = previous  # custom instance: keep verbatim
-        resolved = make_executor(executor, n_workers)
+        resolved = make_executor(executor)
         resolved.set_telemetry(self._telemetry)
         # Store-aware backends (fleet) need the persistent tier's identity to
         # ship work to sibling processes; a no-op for everyone else.
         resolved.bind_store(self._store, self._namespace)
         with self._lock:
-            self._n_workers = int(n_workers)
             self._executor = resolved
         if previous is not None and previous is not resolved:
-            previous.close()  # release any worker pool the old backend held
+            previous.close()  # release any workers the old backend held
 
     @property
     def telemetry(self) -> Optional[Telemetry]:
@@ -348,12 +317,12 @@ class BatchUtilityOracle:
             self._store.set_telemetry(telemetry)
 
     def close(self) -> None:
-        """Release worker pools and any store handle this oracle opened.
+        """Release the executor's workers and any store this oracle opened.
 
-        The executor re-spawns its pool lazily if the oracle is used again;
-        a store that was passed in as a path (and therefore opened — and
-        owned — by this oracle) is closed for good.  Stores passed in as
-        instances belong to the caller and are left open.
+        An executor that owns workers (fleet) starts them again if the
+        oracle is used again; a store that was passed in as a path (and
+        therefore opened — and owned — by this oracle) is closed for good.
+        Stores passed in as instances belong to the caller and are left open.
         """
         self._executor.close()
         if self._owns_store:

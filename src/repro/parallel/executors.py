@@ -1,26 +1,20 @@
 """Pluggable execution backends for batched coalition evaluation.
 
 A coalition executor maps an evaluator over a list of coalitions and returns
-the utilities *in input order*.  Five backends are provided:
+the utilities *in input order*.  Three backends are provided:
 
 * :class:`SerialExecutor` — plain loop; the reference semantics.
-* :class:`ThreadPoolExecutor` — concurrent evaluation in threads.  The right
-  choice when the evaluator releases the GIL (NumPy linear algebra, I/O,
-  sleeping cost models) or holds non-picklable state such as lambda model
-  factories.
-* :class:`ProcessPoolExecutor` — concurrent evaluation in worker processes.
-  Requires the evaluator to be picklable; buys true CPU parallelism for
-  pure-Python training loops.
 * :class:`VectorizedExecutor` — trains the whole batch in lockstep as
   stacked parameter matrices (:mod:`repro.fl.vectorized`) instead of
-  parallelising per-coalition loops; no workers at all.  Falls back to the
-  serial loop for evaluators the vectorized engine cannot handle (plain
-  game functions, non-parametric/CNN models, partial client participation).
+  looping per coalition; no workers at all.  Falls back to the serial loop
+  for evaluators the vectorized engine cannot handle (plain game functions,
+  non-parametric/CNN models, partial client participation).
 * ``FleetExecutor`` (:mod:`repro.fleet.coordinator`, re-exported here) —
   enqueues miss batches onto a durable shared lease queue and blocks on
   results deposited through the persistent utility store, so any number of
-  worker *processes or hosts* (``repro worker <queue-dir>``) drain one
-  coalition plan.  Needs a queue directory and a disk-backed store, so
+  worker *processes or hosts* (``repro worker <queue-dir>``, or workers the
+  run spawns itself) drain one coalition plan.  This is the multi-process
+  path.  It needs a queue directory and a disk-backed store, so
   :func:`make_executor` cannot conjure one from the bare name — construct
   it explicitly (or use ``repro run --backend fleet --queue-dir ...``).
 
@@ -36,7 +30,6 @@ policy is documented in ``docs/performance.md``.
 from __future__ import annotations
 
 import abc
-import concurrent.futures
 import functools
 import time
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -48,7 +41,7 @@ Evaluator = Callable[[frozenset], float]
 
 #: registered backend names; all but "fleet" are constructible by
 #: :func:`make_executor` from the bare name (fleet needs a queue directory)
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "vectorized", "fleet")
+EXECUTOR_BACKENDS = ("serial", "vectorized", "fleet")
 
 
 class CoalitionExecutor(abc.ABC):
@@ -70,7 +63,7 @@ class CoalitionExecutor(abc.ABC):
     def map_utilities(
         self, evaluator: Evaluator, coalitions: Sequence[frozenset]
     ) -> list[float]:
-        """Return ``[evaluator(c) for c in coalitions]``, possibly in parallel."""
+        """Return ``[evaluator(c) for c in coalitions]``, in input order."""
 
     def set_telemetry(self, telemetry: "Optional[Telemetry]") -> None:
         """Attach (or detach with ``None``) a telemetry handle.
@@ -115,89 +108,22 @@ class SerialExecutor(CoalitionExecutor):
         return [float(evaluator(coalition)) for coalition in coalitions]
 
 
-class _PooledExecutor(CoalitionExecutor):
-    """Shared machinery for pool-backed executors.
-
-    The underlying worker pool is created lazily on first use and *reused*
-    across ``map_utilities`` calls — an algorithm run issues one batch per
-    phase, and paying pool startup (and, for processes, evaluator pickling)
-    per batch would dwarf the work being parallelised.  ``close`` releases
-    the pool; the next call transparently recreates it.
-    """
-
-    _pool_factory = None  # concurrent.futures executor class
-
-    def __init__(self, n_workers: int) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = int(n_workers)
-        self._pool = None
-
-    def map_utilities(
-        self, evaluator: Evaluator, coalitions: Sequence[frozenset]
-    ) -> list[float]:
-        if len(coalitions) <= 1 or self.n_workers == 1:
-            return SerialExecutor().map_utilities(evaluator, coalitions)
-        if self._pool is None:
-            self._pool = self._pool_factory(max_workers=self.n_workers)
-        try:
-            return [float(v) for v in self._pool.map(evaluator, coalitions)]
-        except BaseException:
-            # A failed batch may leave the pool broken (e.g. an unpicklable
-            # evaluator in a process pool); discard it so the next call
-            # starts from a fresh one.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ThreadPoolExecutor(_PooledExecutor):
-    """Evaluates coalitions concurrently in a persistent thread pool."""
-
-    name = "thread"
-    _pool_factory = concurrent.futures.ThreadPoolExecutor
-
-    def map_utilities(
-        self, evaluator: Evaluator, coalitions: Sequence[frozenset]
-    ) -> list[float]:
-        if self.telemetry is not None:
-            evaluator = functools.partial(_timed, evaluator, self.telemetry)
-        return super().map_utilities(evaluator, coalitions)
-
-
-class ProcessPoolExecutor(_PooledExecutor):
-    """Evaluates coalitions concurrently in a persistent process pool.
-
-    The evaluator (and its closure — datasets, model factory, config) must be
-    picklable; lambdas are not.  Side effects performed by the evaluator in
-    the workers (counters, caches) stay in the workers — only the returned
-    utilities travel back.
-    """
-
-    name = "process"
-    _pool_factory = concurrent.futures.ProcessPoolExecutor
-
-
 class VectorizedExecutor(CoalitionExecutor):
     """Trains whole coalition batches in lockstep on stacked parameters.
 
-    Instead of parallelising B per-coalition training loops across workers,
+    Instead of running B per-coalition training loops one after another,
     the batch is handed to a
     :class:`~repro.fl.vectorized.VectorizedCoalitionTrainer`: one round of
     "B coalitions × FedAvg" becomes a handful of large stacked NumPy ops.
     The trainer is resolved from the evaluator itself (the bound
     ``FederatedTrainer.utility`` method that
     :class:`~repro.fl.utility.CoalitionUtility` wires into its oracle), so
-    the backend is a drop-in choice next to serial/thread/process.
+    the backend is a drop-in choice next to serial.
 
     The evaluator must be the *bare* bound method: any wrapper hides the
     trainer and quietly selects the serial fallback.  So the oracle hands
     it over unwrapped, and per-evaluation timing (``utility.eval_seconds``) lives in
-    the serial and thread executors instead.
+    the serial executor instead.
 
     Evaluators the engine cannot vectorize (plain game functions,
     non-parametric or kernel-less models, ``client_fraction < 1``) fall back
@@ -280,29 +206,18 @@ class VectorizedExecutor(CoalitionExecutor):
 ExecutorLike = Union[str, CoalitionExecutor, None]
 
 
-def make_executor(executor: ExecutorLike = None, n_workers: int = 1) -> CoalitionExecutor:
+def make_executor(executor: ExecutorLike = None) -> CoalitionExecutor:
     """Resolve an executor spec into a :class:`CoalitionExecutor` instance.
 
     ``executor`` may be an existing instance (returned unchanged), a backend
     name from :data:`EXECUTOR_BACKENDS`, or ``None`` — which picks
-    :class:`SerialExecutor` for ``n_workers <= 1`` and a thread pool
-    otherwise (the only backend that is always safe, since it needs no
-    picklability).
+    :class:`SerialExecutor`.
     """
     if isinstance(executor, CoalitionExecutor):
         return executor
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if executor is None:
-        executor = "serial" if n_workers <= 1 else "thread"
-    if executor == "serial":
+    if executor is None or executor == "serial":
         return SerialExecutor()
-    if executor == "thread":
-        return ThreadPoolExecutor(n_workers)
-    if executor == "process":
-        return ProcessPoolExecutor(n_workers)
     if executor == "vectorized":
-        # Lockstep training has no workers; n_workers is irrelevant to it.
         return VectorizedExecutor()
     if executor == "fleet":
         raise ValueError(

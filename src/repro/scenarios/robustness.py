@@ -135,7 +135,6 @@ def build_robustness_plan(
     model: str = "logistic",
     scale: str = "tiny",
     seed: int = 0,
-    n_workers: int = 1,
     backend: Optional[str] = None,
     name: str = "robustness",
 ):
@@ -176,7 +175,6 @@ def build_robustness_plan(
         tasks=tuple(specs),
         algorithms=tuple(algorithms) if algorithms else DEFAULT_ALGORITHMS,
         name=name,
-        n_workers=n_workers,
         backend=backend,
     )
     return plan, pairs
@@ -198,7 +196,6 @@ def run_robustness(
     scale: str = "tiny",
     seed: int = 0,
     store=None,
-    n_workers: int = 1,
     backend: Optional[str] = None,
     resume: bool = False,
     log: Optional[Callable[[str], None]] = None,
@@ -230,7 +227,6 @@ def run_robustness(
         model=model,
         scale=scale,
         seed=seed,
-        n_workers=n_workers,
         backend=backend,
     )
     run_report = run_plan(

@@ -31,6 +31,7 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.pipeline import stored_execution
 from repro.service.models import JobRecord, JobSpec
 from repro.store.sqlite import DurableState
 
@@ -78,7 +79,7 @@ def _record_from_row(row: tuple) -> JobRecord:
     fields = dict(zip(_RECORD_FIELDS, row))
     spec, result = fields.pop("spec"), fields.pop("result")
     return JobRecord(
-        spec=JobSpec.from_dict(json.loads(spec)),
+        spec=JobSpec.from_dict(stored_execution(json.loads(spec))),
         result=None if result is None else json.loads(result),
         **fields,
     )

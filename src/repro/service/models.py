@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core import parse_stopping_rule
-from repro.experiments.pipeline import available_algorithms, validate_execution
+from repro.experiments.pipeline import (
+    available_algorithms,
+    drop_legacy_n_workers,
+    fleet_fields,
+    validate_execution,
+)
 from repro.experiments.specs import TaskSpec
 from repro.store import fingerprint
 
@@ -81,13 +86,14 @@ class JobSpec:
     checkpoint_every:
         Estimator-state persistence cadence in chunks (0 disables — the job
         then cannot be gracefully preempted or crash-recovered mid-run).
-    backend / n_workers:
+    backend:
         Executor backend for coalition evaluation inside this job (any
         :data:`~repro.parallel.executors.EXECUTOR_BACKENDS` name, including
-        ``"fleet"``) and its concurrency level.
+        ``"fleet"``).
     queue_dir / spawn_workers / worker_backend / lease_seconds:
         Fleet-backend execution coordinates, same semantics as
-        :class:`~repro.experiments.pipeline.ExperimentPlan`.
+        :class:`~repro.experiments.pipeline.ExperimentPlan`; rejected unless
+        ``backend`` is ``"fleet"``.
     """
 
     task: Dict[str, Any]
@@ -97,7 +103,6 @@ class JobSpec:
     stop_on: Optional[str] = None
     checkpoint_every: int = 1
     backend: Optional[str] = None
-    n_workers: int = 1
     queue_dir: Optional[str] = None
     spawn_workers: int = 0
     worker_backend: Optional[str] = None
@@ -159,16 +164,7 @@ class JobSpec:
             payload["stop_on"] = self.stop_on
         if self.backend is not None:
             payload["backend"] = self.backend
-        if self.n_workers != 1:
-            payload["n_workers"] = self.n_workers
-        if self.queue_dir is not None:
-            payload["queue_dir"] = self.queue_dir
-        if self.spawn_workers:
-            payload["spawn_workers"] = self.spawn_workers
-        if self.worker_backend is not None:
-            payload["worker_backend"] = self.worker_backend
-        if self.lease_seconds != 30.0:
-            payload["lease_seconds"] = self.lease_seconds
+        payload.update(fleet_fields(self))
         return payload
 
     @classmethod
@@ -183,7 +179,7 @@ class JobSpec:
             "stop_on",
             "checkpoint_every",
             "backend",
-            "n_workers",
+            "n_workers",  # legacy, see drop_legacy_n_workers
             "queue_dir",
             "spawn_workers",
             "worker_backend",
@@ -197,6 +193,7 @@ class JobSpec:
         missing = {"task", "algorithm"} - set(payload)
         if missing:
             raise ValueError(f"a job spec requires fields: {sorted(missing)}")
+        payload = drop_legacy_n_workers(payload)
         return cls(
             task=dict(payload["task"]),
             algorithm=str(payload["algorithm"]),
@@ -205,7 +202,6 @@ class JobSpec:
             stop_on=payload.get("stop_on"),
             checkpoint_every=int(payload.get("checkpoint_every", 1)),
             backend=payload.get("backend"),
-            n_workers=int(payload.get("n_workers", 1)),
             queue_dir=payload.get("queue_dir"),
             spawn_workers=int(payload.get("spawn_workers", 0)),
             worker_backend=payload.get("worker_backend"),

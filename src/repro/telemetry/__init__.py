@@ -30,7 +30,7 @@ code.  Two invariants every instrumented site must preserve:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.telemetry.journal import (
     JOURNAL_NAME,
@@ -47,7 +47,7 @@ from repro.telemetry.metrics import (
     prometheus_text,
     registry_from_dict,
 )
-from repro.telemetry.trace import NULL_SPAN, Span, TracedEvaluator, Tracer, _NullSpan
+from repro.telemetry.trace import NULL_SPAN, Span, Tracer, _NullSpan
 
 
 class Telemetry:
@@ -133,25 +133,6 @@ class Telemetry:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Worker-process support
-    # ------------------------------------------------------------------ #
-    def wrap_worker_evaluator(
-        self, evaluator: Callable[[frozenset], float]
-    ) -> Callable[[frozenset], float]:
-        """Wrap an evaluator bound for worker processes in per-eval spans.
-
-        Only meaningful with a journal (workers cannot reach an in-memory
-        tracer); without one, or when disabled, the evaluator passes through
-        untouched so the pickled payload stays identical to the
-        no-telemetry case.
-        """
-        if not self.enabled or self.journal is None:
-            return evaluator
-        return TracedEvaluator(
-            evaluator, RunJournal(self.journal.path), self.tracer.current_span_id()
-        )
-
 
 __all__ = [
     "BYTES_BUCKETS",
@@ -163,7 +144,6 @@ __all__ = [
     "SIZE_BUCKETS",
     "Span",
     "TELEMETRY_DIR",
-    "TracedEvaluator",
     "Tracer",
     "Telemetry",
     "journal_path",

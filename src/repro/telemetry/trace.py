@@ -14,10 +14,6 @@ Two clocks, two rules:
 * ``start`` is wall-clock telemetry under the documented RPR002 pragma —
   nothing derived from it may reach a fingerprint, seed or estimator payload.
 
-:class:`TracedEvaluator` is the process-backend shim: it wraps a picklable
-evaluator together with the journal (which pickles down to its path) so each
-worker-process evaluation emits a ``worker.eval`` span into the *parent
-run's* journal, parented under the batch span that dispatched it.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.journal import RunJournal
 
@@ -111,7 +107,7 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a traced section: ``with tracer.span("oracle.batch", n=64): ...``"""
         sequence = next(self._ids)
-        # The pid namespaces span ids across executor worker processes; it is
+        # The pid namespaces span ids across fleet worker processes; it is
         # journal telemetry and never reaches fingerprints or seeds.
         pid = os.getpid()  # repro: allow[RPR002] reason=span-id namespacing across worker processes, telemetry-only
         span_id = f"{pid:x}.{sequence:x}"
@@ -153,55 +149,4 @@ class Tracer:
             self.records.append(record)
 
 
-class TracedEvaluator:
-    """Picklable evaluator wrapper emitting per-evaluation worker spans.
-
-    The process executor backend ships the evaluator to worker processes; a
-    plain tracer (thread-local stacks, open file handles) cannot follow it,
-    but the journal can — it pickles to its path.  Each call times one
-    coalition evaluation and appends a ``worker.eval`` span to the parent
-    run's journal, parented under ``parent_id`` (the dispatching batch span),
-    so ``repro trace`` shows worker evaluations nested where they belong.
-    """
-
-    def __init__(
-        self,
-        evaluator: Callable[[frozenset], float],
-        journal: RunJournal,
-        parent_id: Optional[str] = None,
-    ) -> None:
-        self.evaluator = evaluator
-        self.journal = journal
-        self.parent_id = parent_id
-
-    def __call__(self, coalition: frozenset) -> float:
-        start = time.time()  # repro: allow[RPR002] reason=worker span wall-clock timestamp, journal telemetry
-        t0 = time.perf_counter()
-        status = "ok"
-        try:
-            return float(self.evaluator(coalition))
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            duration = time.perf_counter() - t0
-            pid = os.getpid()  # repro: allow[RPR002] reason=worker span pid tag, telemetry-only
-            self.journal.write(
-                {
-                    "event": "span",
-                    "name": "worker.eval",
-                    "span": f"{pid:x}.w{id(self) & 0xffff:x}.{t0:.6f}",
-                    "parent": self.parent_id,
-                    "start": start,
-                    "dur_s": duration,
-                    "status": status,
-                    "attrs": {"coalition_size": len(coalition), "pid": pid},
-                }
-            )
-            # One evaluation is a whole FL training; re-opening the append
-            # handle per call is free, and nothing owns this wrapper's copies
-            # (worker processes, unpickled clones) long enough to close them.
-            self.journal.close()
-
-
-__all__ = ["NULL_SPAN", "Span", "TracedEvaluator", "Tracer"]
+__all__ = ["NULL_SPAN", "Span", "Tracer"]

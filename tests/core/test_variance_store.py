@@ -12,7 +12,7 @@ REPS = 4
 
 
 class TestVarianceStoreThreading:
-    def test_estimates_unchanged_by_store_and_workers(self):
+    def test_estimates_unchanged_by_store(self):
         plain = empirical_scheme_variance(
             monotone_game(N, seed=1), N, total_rounds=ROUNDS, repetitions=REPS, seed=0
         )
@@ -25,7 +25,6 @@ class TestVarianceStoreThreading:
                 seed=0,
                 store=store,
                 store_namespace="variance-test",
-                n_workers=2,
             )
         assert shared.mc_mean.tolist() == plain.mc_mean.tolist()
         assert shared.cc_mean.tolist() == plain.cc_mean.tolist()

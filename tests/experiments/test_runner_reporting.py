@@ -82,67 +82,31 @@ class TestRunComparison:
         with pytest.raises(TypeError):
             run_comparison(game, suite, n_clients=4, skip_failures=False)
 
-    def test_n_workers_restored_on_callers_oracle(self):
-        """run_comparison must not permanently reconfigure the oracle it was
-        handed: later serial timings by the caller would silently run on a
-        worker pool otherwise."""
+    def test_callers_oracle_keeps_its_executor(self):
+        """run_comparison uses the oracle as configured and leaves it so."""
+        from repro.parallel import BatchUtilityOracle
 
-        class ConfigurableOracle:
-            def __init__(self, game):
-                self._game = game
-                self.n_clients = game.n_clients
-                self.n_workers = 1
-
-            def __call__(self, coalition):
-                return self._game(coalition)
-
-            def set_n_workers(self, n_workers):
-                # Deliberately the single-argument form: run_comparison must
-                # not assume the two-argument (n_workers, executor) signature
-                # for oracles that expose no `executor` attribute.
-                self.n_workers = n_workers
-
-        oracle = ConfigurableOracle(monotone_game(4, seed=8))
-        run_comparison(oracle, [IPSS(total_rounds=8, seed=0)], 4, n_workers=6)
-        assert oracle.n_workers == 1
-
-    def test_executor_backend_restored_on_callers_oracle(self):
-        """The backend is restored too, not just the worker count: a serial
-        oracle must not come back holding a (one-worker) thread pool."""
-        from repro.parallel import BatchUtilityOracle, SerialExecutor
-
-        oracle = BatchUtilityOracle(monotone_game(4, seed=8), n_clients=4)
-        assert type(oracle.executor) is SerialExecutor
-        run_comparison(oracle, [IPSS(total_rounds=8, seed=0)], 4, n_workers=6)
-        assert oracle.n_workers == 1
-        assert type(oracle.executor) is SerialExecutor
-
-    def test_evaluation_counts_independent_of_n_workers(self):
-        """Plain callables are wrapped (memoised) for any explicit n_workers,
-        so the reported cost model does not depend on the concurrency level."""
-
-        def rows_with(n_workers):
-            comparison = run_comparison(
-                monotone_game(4, seed=9).utility,
-                [IPSS(total_rounds=8, seed=0), MCShapley(seed=0)],
-                n_clients=4,
-                n_workers=n_workers,
-            )
-            return {r.algorithm: r.utility_evaluations for r in comparison.rows}
-
-        assert rows_with(1) == rows_with(4)
-
-    def test_n_workers_threading_preserves_values(self):
-        """run_comparison(n_workers=4) wraps or reconfigures the oracle but
-        never changes the computed values."""
-        suite = [IPSS(total_rounds=8, seed=0), MCShapley(seed=0)]
-        serial = run_comparison(monotone_game(4, seed=6).utility, suite, n_clients=4)
-        parallel = run_comparison(
-            monotone_game(4, seed=6).utility, suite, n_clients=4, n_workers=4
+        oracle = BatchUtilityOracle(
+            monotone_game(4, seed=8), n_clients=4, executor="vectorized"
         )
-        for row_s, row_p in zip(serial.rows, parallel.rows):
-            assert row_s.algorithm == row_p.algorithm
-            assert np.array_equal(row_s.values, row_p.values)
+        executor = oracle.executor
+        run_comparison(oracle, [IPSS(total_rounds=8, seed=0)], 4)
+        assert oracle.executor is executor
+
+    def test_batch_oracle_preserves_values(self):
+        """A memoising batch oracle changes the cost, never the values."""
+        from repro.parallel import BatchUtilityOracle
+
+        suite = [IPSS(total_rounds=8, seed=0), MCShapley(seed=0)]
+        plain = run_comparison(monotone_game(4, seed=6).utility, suite, n_clients=4)
+        batched = run_comparison(
+            BatchUtilityOracle(monotone_game(4, seed=6).utility, n_clients=4),
+            suite,
+            n_clients=4,
+        )
+        for row_p, row_b in zip(plain.rows, batched.rows):
+            assert row_p.algorithm == row_b.algorithm
+            assert np.array_equal(row_p.values, row_b.values)
 
     def test_explicit_exact_values_used(self):
         game = monotone_game(4, seed=2)

@@ -100,8 +100,8 @@ class TestExperimentPlan:
             ExperimentPlan(tasks=())
         with pytest.raises(ValueError):
             ExperimentPlan(tasks=(TINY_SPEC,), algorithms=("Quantum-SV",))
-        with pytest.raises(ValueError):
-            ExperimentPlan(tasks=(TINY_SPEC,), n_workers=0)
+        with pytest.raises(ValueError, match="spawn_workers"):
+            ExperimentPlan(tasks=(TINY_SPEC,), spawn_workers=2)
 
     def test_registry_covers_the_paper_lineup(self):
         assert {
@@ -117,10 +117,10 @@ class TestExperimentPlan:
             "lambda-MR",
         } <= set(available_algorithms())
 
-    def test_fingerprint_ignores_concurrency_and_name(self):
+    def test_fingerprint_ignores_backend_and_name(self):
         plan = ExperimentPlan(tasks=(TINY_SPEC,), algorithms=ALGOS)
         relabeled = ExperimentPlan(
-            tasks=(TINY_SPEC,), algorithms=ALGOS, name="other", n_workers=4
+            tasks=(TINY_SPEC,), algorithms=ALGOS, name="other", backend="vectorized"
         )
         assert plan.fingerprint() == relabeled.fingerprint()
         different = ExperimentPlan(tasks=(TINY_SPEC,), algorithms=("IPSS",))
@@ -133,7 +133,7 @@ class TestExperimentPlan:
         assert len({cell_id for _, _, cell_id in cells}) == 2
 
     def test_dict_roundtrip(self):
-        plan = ExperimentPlan(tasks=(TINY_SPEC,), algorithms=ALGOS, n_workers=2)
+        plan = ExperimentPlan(tasks=(TINY_SPEC,), algorithms=ALGOS, name="grid")
         assert ExperimentPlan.from_dict(plan.to_dict()) == plan
 
     def test_backend_validated_recorded_and_fingerprint_neutral(self):

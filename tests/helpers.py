@@ -42,7 +42,7 @@ class FleetHarness:
     ``fresh_store_path()`` a new SQLite store file for utilities to open.
     """
 
-    def __init__(self, root, n_workers: int = 1, worker_backend: str = "serial"):
+    def __init__(self, root, workers: int = 1, worker_backend: str = "serial"):
         from repro.fleet.worker import run_worker
 
         self.root = str(root)
@@ -51,7 +51,7 @@ class FleetHarness:
         self._stores = 0
         self._stop = threading.Event()
         self._threads = []
-        for index in range(n_workers):
+        for index in range(workers):
             thread = threading.Thread(
                 target=run_worker,
                 kwargs=dict(

@@ -1,13 +1,12 @@
-"""Interrupt/resume parity across all five executor backends.
+"""Interrupt/resume parity across all three executor backends.
 
 The anytime contract must hold regardless of how coalition utilities are
 evaluated: kill a run mid-chunk, restore from the JSON checkpoint, and the
 final values are bitwise-identical to an uninterrupted run on the same
 backend (and equal across backends up to the documented vectorized
-tolerance).  Everything is module-level so the process backend — and the
-fleet queue payload — can pickle the evaluators; fleet runs drain through
-an in-process worker thread (:class:`tests.helpers.FleetHarness`) over a
-real SQLite queue.
+tolerance).  Everything is module-level so the fleet queue payload can
+pickle the evaluators; fleet runs drain through an in-process worker thread
+(:class:`tests.helpers.FleetHarness`) over a real SQLite queue.
 """
 
 import json
@@ -59,7 +58,6 @@ def build_utility(backend: str, store=None, fleet=None):
         model_factory=model_factory(test.n_features),
         config=FLConfig(rounds=2, local_epochs=1),
         seed=SEED,
-        n_workers=2 if backend in ("thread", "process") else 1,
         executor=executor,
         store=store,
         store_namespace="anytime-backends" if store is not None else None,

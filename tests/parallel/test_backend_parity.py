@@ -1,13 +1,12 @@
-"""Backend parity: serial / thread / process / vectorized / fleet agree.
+"""Backend parity: serial / vectorized / fleet agree.
 
-The satellite contract of the vectorized-engine PR, extended by the fleet
-PR to all five backends: for at least two models × two datasets, every
+For at least two models × two datasets, every
 executor backend produces the same utilities *and* the same ``evaluations``
 / ``store_hits`` accounting — so switching backends can change wall-clock
 time and nothing else.
 
-Everything here is module-level (no lambdas) so the process backend — and
-the fleet queue payload — can pickle the evaluators.  Fleet runs drain
+Everything here is module-level (no lambdas) so the fleet queue payload
+can pickle the evaluators.  Fleet runs drain
 through an in-process worker thread (:class:`tests.helpers.FleetHarness`)
 over a real SQLite queue + store; subprocess workers are covered by
 ``test_fleet_backend.py``.
@@ -39,7 +38,7 @@ N = 4
 
 
 def logistic_model(n_features):
-    """Picklable zero-arg factory (functools.partial) for the process pool."""
+    """Picklable zero-arg factory (functools.partial) for fleet workers."""
     return partial(LogisticRegressionModel, n_features=n_features, n_classes=2, epochs=2)
 
 
@@ -87,7 +86,6 @@ def build_utility(dataset: str, model: str, backend: str, store=None, fleet=None
         model_factory=MODELS[model](test.n_features),
         config=FLConfig(rounds=2, local_epochs=1),
         seed=SEED,
-        n_workers=2 if backend in ("thread", "process") else 1,
         executor=executor,
         store=store,
         store_namespace=f"parity-{dataset}-{model}" if store is not None else None,

@@ -11,9 +11,7 @@ from repro.parallel import (
     BatchUtilityOracle,
     CoalitionExecutor,
     EXECUTOR_BACKENDS,
-    ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     VectorizedExecutor,
     coalition_batch_keys,
     make_executor,
@@ -46,49 +44,36 @@ class TestCoalitionBatchKeys:
 
 
 class TestMakeExecutor:
-    def test_default_serial_for_one_worker(self):
-        assert isinstance(make_executor(None, 1), SerialExecutor)
-
-    def test_default_thread_for_many_workers(self):
-        executor = make_executor(None, 4)
-        assert isinstance(executor, ThreadPoolExecutor)
-        assert executor.n_workers == 4
+    def test_default_is_serial(self):
+        assert isinstance(make_executor(None), SerialExecutor)
 
     @pytest.mark.parametrize(
         "name", [b for b in EXECUTOR_BACKENDS if b != "fleet"]
     )
     def test_named_backends(self, name):
-        assert make_executor(name, 2) is not None
+        assert make_executor(name).name == name
 
     def test_fleet_needs_explicit_construction(self):
         # The fleet backend is registered but not name-constructible: it
         # needs a queue directory, so the error must say how to get one.
         assert "fleet" in EXECUTOR_BACKENDS
         with pytest.raises(ValueError, match="queue directory"):
-            make_executor("fleet", 2)
+            make_executor("fleet")
 
     def test_fleet_instance_passthrough(self, tmp_path):
         from repro.fleet import FleetExecutor
 
         executor = FleetExecutor(queue_dir=str(tmp_path / "q"))
-        assert make_executor(executor, 2) is executor
+        assert make_executor(executor) is executor
         executor.close()
 
     def test_instance_passthrough(self):
         executor = SerialExecutor()
-        assert make_executor(executor, 8) is executor
+        assert make_executor(executor) is executor
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError):
-            make_executor("gpu", 2)
-
-    def test_invalid_workers_raise(self):
-        with pytest.raises(ValueError):
-            make_executor(None, 0)
-        with pytest.raises(ValueError):
-            ThreadPoolExecutor(0)
-        with pytest.raises(ValueError):
-            ProcessPoolExecutor(-1)
+            make_executor("gpu")
 
 
 class TestBatchUtilityOracle:
@@ -130,55 +115,35 @@ class TestBatchUtilityOracle:
         oracle = BatchUtilityOracle(CountingGame(), n_clients=2)
         assert oracle.evaluate_batch([]) == {}
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "vectorized"])
     def test_backends_agree(self, executor):
         game = monotone_game(5, seed=3)
-        oracle = BatchUtilityOracle(game, n_clients=5, n_workers=3, executor=executor)
+        oracle = BatchUtilityOracle(game, n_clients=5, executor=executor)
         batch = [{0}, {1, 2}, {0, 1, 2, 3, 4}, frozenset(), {4}]
         results = oracle.evaluate_batch(batch)
         for coalition in batch:
             key = frozenset(coalition)
             assert results[key] == game._table[key]
 
-    def test_process_backend_deposits_into_parent_cache(self):
-        game = monotone_game(4, seed=1)
-        oracle = BatchUtilityOracle(game, n_clients=4, n_workers=2, executor="process")
-        oracle.evaluate_batch([{0}, {1}, {0, 1}])
-        assert oracle.evaluations == 3
-        # Second pass is all hits — nothing crosses a process boundary again.
-        oracle.evaluate_batch([{0}, {1}, {0, 1}])
-        assert oracle.evaluations == 3
-        assert oracle.cache_hits == 3
-
-    def test_set_n_workers_reconfigures(self):
+    def test_set_executor_switches_backend(self):
         oracle = BatchUtilityOracle(CountingGame(), n_clients=3)
-        assert oracle.n_workers == 1
-        oracle.set_n_workers(4)
-        assert oracle.n_workers == 4
-        assert isinstance(oracle.executor, ThreadPoolExecutor)  # serial upgrades
+        assert isinstance(oracle.executor, SerialExecutor)
+        oracle.set_executor("vectorized")
+        assert isinstance(oracle.executor, VectorizedExecutor)
+        assert oracle.backend == "vectorized"
+        oracle.set_executor(None)
+        assert isinstance(oracle.executor, SerialExecutor)
         with pytest.raises(ValueError):
-            oracle.set_n_workers(0)
-
-    def test_set_n_workers_preserves_configured_backend(self):
-        """Resizing without naming a backend must keep a configured process
-        pool a process pool (and keep custom executor instances verbatim)."""
-        oracle = BatchUtilityOracle(
-            CountingGame(), n_clients=3, n_workers=4, executor="process"
-        )
-        oracle.set_n_workers(2)
-        assert isinstance(oracle.executor, ProcessPoolExecutor)
-        assert oracle.executor.n_workers == 2
+            oracle.set_executor("gpu")
 
         class RecordingExecutor(SerialExecutor):
             pass
 
+        # A custom executor instance is kept verbatim.
         custom = RecordingExecutor()
-        oracle = BatchUtilityOracle(CountingGame(), n_clients=3, executor=custom)
-        oracle.set_n_workers(2)
+        oracle.set_executor(custom)
         assert oracle.executor is custom
-        # An explicit backend name still overrides.
-        oracle.set_n_workers(3, "thread")
-        assert isinstance(oracle.executor, ThreadPoolExecutor)
+        assert oracle.evaluate_batch([{0, 1}]) == {frozenset({0, 1}): 2.0}
 
     def test_reset_cache(self):
         oracle = BatchUtilityOracle(CountingGame(), n_clients=3)
@@ -190,7 +155,7 @@ class TestBatchUtilityOracle:
 
     def test_batch_warms_single_lookups(self):
         game = CountingGame()
-        oracle = BatchUtilityOracle(game, n_clients=3, n_workers=2)
+        oracle = BatchUtilityOracle(game, n_clients=3)
         oracle.evaluate_batch([{0, 1}, {2}])
         assert oracle.evaluations == 2
         assert oracle({0, 1}) == 2.0
@@ -359,8 +324,6 @@ class TestSingleFlight:
 class MapExecutor(CoalitionExecutor):
     """A batch-only executor: maps the evaluator over the misses it is given."""
 
-    n_workers = 1
-
     def map_utilities(self, evaluator, coalitions):
         return [float(evaluator(c)) for c in coalitions]
 
@@ -451,8 +414,7 @@ class TestTelemetryReach:
         telemetry = Telemetry.in_memory()
         store = MemoryUtilityStore()
         oracle = BatchUtilityOracle(
-            CountingGame(), n_clients=3, n_workers=2, store=store,
-            store_namespace="t",
+            CountingGame(), n_clients=3, store=store, store_namespace="t",
         )
         oracle.set_telemetry(telemetry)
         assert store.telemetry is telemetry
@@ -463,27 +425,24 @@ class TestTelemetryReach:
         oracle.set_telemetry(None)
         assert store.telemetry is None
 
-    @pytest.mark.parametrize(
-        "backend, timed", [("serial", True), ("thread", True), ("process", False)]
-    )
-    def test_eval_seconds_once_per_in_process_call(self, backend, timed):
+    def test_eval_seconds_once_per_in_process_call(self):
         telemetry = Telemetry.in_memory()
         game = monotone_game(4, seed=2)
         with BatchUtilityOracle(
-            game, n_clients=4, n_workers=2, executor=backend, telemetry=telemetry
+            game, n_clients=4, executor="serial", telemetry=telemetry
         ) as oracle:
             oracle.evaluate_batch([{0}, {1}, {0, 1}])
             batch_timings = _eval_count(telemetry)
             oracle.utility({2})  # single lookups evaluate inline: always timed
             total = _eval_count(telemetry)
-        assert batch_timings == (3 if timed else 0)
+        assert batch_timings == 3
         assert total == batch_timings + 1
 
 
 class TestConcurrentAccounting:
     @pytest.mark.parametrize(
-        "executor", ["thread", MapExecutor(), VectorizedExecutor()],
-        ids=["thread", "map", "vectorized"],
+        "executor", ["serial", MapExecutor(), VectorizedExecutor()],
+        ids=["serial", "map", "vectorized"],
     )
     def test_hit_miss_accounting_under_concurrent_batches(self, executor):
         """Overlapping batches from many threads never double-train a
@@ -499,9 +458,7 @@ class TestConcurrentAccounting:
             time.sleep(0.002)  # widen the race window
             return float(len(coalition))
 
-        oracle = BatchUtilityOracle(
-            evaluator, n_clients=6, n_workers=4, executor=executor
-        )
+        oracle = BatchUtilityOracle(evaluator, n_clients=6, executor=executor)
         batches = [
             [{0}, {1}, {0, 1}, {2}],
             [{1}, {2}, {3}, {0, 1}],
@@ -536,9 +493,7 @@ class TestConcurrentAccounting:
                 calls.append(frozenset(coalition))
             return float(len(coalition))
 
-        oracle = BatchUtilityOracle(
-            evaluator, n_clients=5, n_workers=3, executor="thread"
-        )
+        oracle = BatchUtilityOracle(evaluator, n_clients=5)
         space = list(all_coalitions(5))
         generator = np.random.default_rng(0)
 
@@ -568,26 +523,36 @@ class TestConcurrentAccounting:
         assert oracle.cache_hits + oracle.evaluations == lookups
 
 
+class ClosingExecutor(SerialExecutor):
+    """Serial executor that counts its ``close`` calls."""
+
+    def __init__(self):
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+
 class TestOracleContextManager:
-    def test_with_statement_closes_executor_pool(self):
+    def test_with_statement_closes_executor(self):
+        executor = ClosingExecutor()
         with BatchUtilityOracle(
-            CountingGame(), n_clients=4, n_workers=2, executor="thread"
+            CountingGame(), n_clients=4, executor=executor
         ) as oracle:
             oracle.evaluate_batch([{0}, {1}, {0, 1}])
             assert oracle.evaluations == 3
-        assert oracle.executor._pool is None  # pool released on exit
+        assert executor.closed == 1  # workers released on exit
 
     def test_exception_inside_with_still_closes(self):
-        oracle = BatchUtilityOracle(
-            CountingGame(), n_clients=4, n_workers=2, executor="thread"
-        )
+        executor = ClosingExecutor()
+        oracle = BatchUtilityOracle(CountingGame(), n_clients=4, executor=executor)
         with pytest.raises(RuntimeError):
             with oracle:
                 oracle.evaluate_batch([{0}, {1}])
                 raise RuntimeError("boom")
-        assert oracle.executor._pool is None
+        assert executor.closed == 1
 
     def test_reusable_after_close(self):
         with BatchUtilityOracle(CountingGame(), n_clients=4) as oracle:
             oracle.utility({0})
-        assert oracle.utility({0}) == 1.0  # cache survives; pool re-spawns lazily
+        assert oracle.utility({0}) == 1.0  # the memo survives close

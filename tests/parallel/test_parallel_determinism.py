@@ -1,15 +1,14 @@
-"""Parallel execution must be value-preserving.
+"""Batched execution must be value-preserving.
 
 The acceptance bar for the batched engine: running any sampling algorithm
-through a :class:`BatchUtilityOracle` with ``n_workers=4`` (thread or process
-backend) produces **bitwise-identical** ``ValuationResult.values`` to serial
-execution on the same seed.  This holds because (a) all randomness lives in
-the algorithm's own generator, which is untouched by how utilities are
+through a :class:`BatchUtilityOracle` on any in-process backend produces
+**bitwise-identical** ``ValuationResult.values`` to the plain sequential code
+path on the same seed.  This holds because (a) all randomness lives in the
+algorithm's own generator, which is untouched by how utilities are
 evaluated, and (b) per-coalition training seeds are content-derived, so a
-coalition's utility is the same whichever worker computes it.
+coalition's utility is the same whichever backend computes it.  The fleet
+backend's half of the matrix lives in ``test_backend_parity.py``.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -34,11 +33,9 @@ def algorithms():
     ]
 
 
-def run_with(executor, n_workers):
+def run_with(executor):
     game = monotone_game(N_CLIENTS, seed=SEED)
-    oracle = BatchUtilityOracle(
-        game, n_clients=N_CLIENTS, n_workers=n_workers, executor=executor
-    )
+    oracle = BatchUtilityOracle(game, n_clients=N_CLIENTS, executor=executor)
     return {
         algorithm.name: algorithm.run(oracle, N_CLIENTS).values
         for algorithm in algorithms()
@@ -46,9 +43,9 @@ def run_with(executor, n_workers):
 
 
 class TestExecutorDeterminism:
-    @pytest.mark.parametrize("executor,n_workers", [("thread", 4), ("serial", 1)])
-    def test_identical_to_plain_callable(self, executor, n_workers):
-        """Batched (serial or 4-thread) == the plain sequential code path.
+    @pytest.mark.parametrize("executor", ["serial", "vectorized"])
+    def test_identical_to_plain_callable(self, executor):
+        """Batched == the plain sequential code path.
 
         ``game.utility`` is a bare bound method with no ``evaluate_batch``,
         so it exercises the sequential fallback of the planning hook.
@@ -58,34 +55,22 @@ class TestExecutorDeterminism:
             algorithm.name: algorithm.run(game.utility, N_CLIENTS).values
             for algorithm in algorithms()
         }
-        batched = run_with(executor, n_workers)
+        batched = run_with(executor)
         for name, values in plain.items():
             assert np.array_equal(values, batched[name]), name
 
-    def test_thread_pool_bitwise_identical_to_serial(self):
-        serial = run_with("serial", 1)
-        threaded = run_with("thread", 4)
-        for name in serial:
-            assert np.array_equal(serial[name], threaded[name]), name
-
-    def test_process_pool_bitwise_identical_to_serial(self):
-        serial = run_with("serial", 1)
-        multiproc = run_with("process", 2)
-        for name in serial:
-            assert np.array_equal(serial[name], multiproc[name]), name
-
-    def test_repeated_parallel_runs_are_stable(self):
-        first = run_with("thread", 4)
-        second = run_with("thread", 4)
+    def test_repeated_runs_are_stable(self):
+        first = run_with("serial")
+        second = run_with("serial")
         for name in first:
             assert np.array_equal(first[name], second[name]), name
 
 
-class TestCoalitionUtilityParallel:
-    """End to end on the real FL substrate: CoalitionUtility(n_workers=4)."""
+class TestCoalitionUtilityBackends:
+    """End to end on the real FL substrate: serial vs lockstep training."""
 
     @staticmethod
-    def build_utility(n_workers):
+    def build_utility(executor):
         from repro.datasets import (
             make_classification_blobs,
             partition_iid,
@@ -105,62 +90,24 @@ class TestCoalitionUtilityParallel:
             ),
             config=FLConfig(rounds=2),
             seed=SEED,
-            n_workers=n_workers,
+            executor=executor,
         )
 
-    def test_fl_training_values_identical_across_workers(self):
-        serial = MCShapley(seed=SEED).run(self.build_utility(1)).values
-        parallel = MCShapley(seed=SEED).run(self.build_utility(4)).values
-        assert np.array_equal(serial, parallel)
+    def test_fl_training_values_identical_across_backends(self):
+        serial = MCShapley(seed=SEED).run(self.build_utility("serial")).values
+        lockstep = MCShapley(seed=SEED).run(self.build_utility("vectorized")).values
+        assert np.array_equal(serial, lockstep)
 
-    def test_ipss_on_fl_identical_across_workers(self):
-        serial = IPSS(total_rounds=10, seed=SEED).run(self.build_utility(1)).values
-        parallel = IPSS(total_rounds=10, seed=SEED).run(self.build_utility(4)).values
-        assert np.array_equal(serial, parallel)
+    def test_ipss_on_fl_identical_across_backends(self):
+        def run(executor):
+            return IPSS(total_rounds=10, seed=SEED).run(self.build_utility(executor))
+
+        assert np.array_equal(run("serial").values, run("vectorized").values)
 
     def test_evaluation_accounting_matches_serial(self):
-        one = self.build_utility(1)
-        four = self.build_utility(4)
-        MCShapley(seed=SEED).run(one)
-        MCShapley(seed=SEED).run(four)
-        assert one.evaluations == four.evaluations == 2**4
-
-
-class SlowGame:
-    """Picklable monotone game with an artificial per-coalition cost τ.
-
-    ``time.sleep`` releases the GIL, so thread workers overlap exactly the
-    way real FL trainings overlap across processes or machines.
-    """
-
-    def __init__(self, n_clients, cost):
-        self.n_clients = n_clients
-        self.cost = cost
-        self._game = monotone_game(n_clients, seed=SEED)
-
-    def __call__(self, coalition):
-        time.sleep(self.cost)
-        return self._game(coalition)
-
-
-class TestParallelSpeedup:
-    def test_four_workers_beat_serial_on_modeled_cost(self):
-        """With a modeled τ of 20 ms per coalition, 4 workers must finish the
-        same StratifiedSampling run at least 1.5× faster than serial."""
-        algorithm = StratifiedSampling(total_rounds=16, scheme="mc", seed=SEED)
-
-        def timed(n_workers):
-            oracle = BatchUtilityOracle(
-                SlowGame(N_CLIENTS, cost=0.02),
-                n_clients=N_CLIENTS,
-                n_workers=n_workers,
-                executor="thread" if n_workers > 1 else "serial",
-            )
-            start = time.perf_counter()
-            values = algorithm.run(oracle, N_CLIENTS).values
-            return time.perf_counter() - start, values
-
-        serial_time, serial_values = timed(1)
-        parallel_time, parallel_values = timed(4)
-        assert np.array_equal(serial_values, parallel_values)
-        assert serial_time / parallel_time > 1.5
+        serial = self.build_utility("serial")
+        lockstep = self.build_utility("vectorized")
+        MCShapley(seed=SEED).run(serial)
+        MCShapley(seed=SEED).run(lockstep)
+        assert lockstep.executor.last_fallback_reason is None
+        assert serial.evaluations == lockstep.evaluations == 2**4

@@ -36,17 +36,9 @@ def build_utility(executor="vectorized", **kwargs):
 
 class TestMakeExecutor:
     def test_vectorized_backend_name(self):
-        executor = make_executor("vectorized", 4)
+        executor = make_executor("vectorized")
         assert isinstance(executor, VectorizedExecutor)
         assert executor.name == "vectorized"
-
-    def test_set_n_workers_keeps_vectorized_backend(self):
-        oracle = BatchUtilityOracle(
-            monotone_game(4), n_clients=4, executor="vectorized"
-        )
-        executor = oracle.executor
-        oracle.set_n_workers(3)
-        assert oracle.executor is executor  # kept verbatim, like custom instances
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
@@ -112,7 +104,7 @@ class TestAlgorithmsThroughVectorizedBackend:
     def test_executor_upgrade_after_construction(self):
         utility = build_utility("serial")
         assert isinstance(utility.executor, SerialExecutor)
-        utility.set_n_workers(1, "vectorized")
+        utility.set_executor("vectorized")
         assert isinstance(utility.executor, VectorizedExecutor)
         values = IPSS(total_rounds=8, seed=SEED).run(utility, 4).values
         assert values.shape == (4,)

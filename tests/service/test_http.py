@@ -1,12 +1,15 @@
 """The HTTP surface, end to end: real sockets on an ephemeral port."""
 
+import contextlib
 import json
+import sqlite3
 import threading
 import urllib.request
 
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import JOBS_FILENAME, JobStore
 from repro.service.scheduler import ValuationService
 from repro.service.server import serve
 from tests.service.helpers import direct_values, make_spec, make_task
@@ -14,7 +17,13 @@ from tests.service.helpers import direct_values, make_spec, make_task
 
 @pytest.fixture
 def service_client(tmp_path):
-    service = ValuationService(str(tmp_path / "state"), workers=2).start()
+    with running_service(str(tmp_path / "state"), workers=2) as running:
+        yield running
+
+
+@contextlib.contextmanager
+def running_service(state_dir, workers):
+    service = ValuationService(state_dir, workers=workers).start()
     server = serve(service, host="127.0.0.1", port=0)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
@@ -84,6 +93,57 @@ class TestJobEndpoints:
             client.submit(spec)
         assert excinfo.value.status == 400
         assert "worker_backend" in str(excinfo.value)
+
+    def test_fleet_field_without_fleet_backend_is_a_400(self, service_client):
+        _service, client = service_client
+        spec = {
+            "task": make_task(),
+            "algorithm": "IPSS",
+            "backend": "vectorized",
+            "spawn_workers": 3,
+            "worker_backend": "vectorized",
+            "queue_dir": "/nonexistent",
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        for field_name in ("queue_dir", "spawn_workers", "worker_backend"):
+            assert field_name in str(excinfo.value)
+        assert client.jobs() == []
+
+    def test_job_rows_stored_by_older_versions_still_load_and_run(self, tmp_path):
+        """Older versions stored ``n_workers``, the pooled backends and fleet
+        fields they ignored next to a non-fleet backend.  Such a row runs as
+        that version ran it, and neither the scheduler nor GET /jobs trips."""
+        state_dir = str(tmp_path / "state")
+        spec = make_spec(n_clients=4)
+        with JobStore(state_dir) as store:
+            job_id = store.submit(spec).job_id
+        stored = {
+            **spec.to_dict(),
+            "backend": "thread",
+            "n_workers": 2,
+            "queue_dir": "/nonexistent",
+            "spawn_workers": 3,
+            "worker_backend": "process",
+        }
+        with contextlib.closing(
+            sqlite3.connect(str(tmp_path / "state" / JOBS_FILENAME))
+        ) as connection, connection:
+            connection.execute(
+                "UPDATE jobs SET spec = ? WHERE job_id = ?",
+                (json.dumps(stored), job_id),
+            )
+        # One scheduler worker: it must survive the legacy row to run the next job.
+        with running_service(state_dir, workers=1) as (_service, client):
+            final = client.wait(job_id, timeout=60.0)
+            assert final["status"] == "done"
+            assert final["result"]["result"]["values"] == direct_values(
+                spec.task, spec.algorithm
+            )
+            assert [j["job_id"] for j in client.jobs()] == [job_id]
+            later = client.submit(make_spec(n_clients=4, seed=1).to_dict())
+            assert client.wait(later["job_id"], timeout=60.0)["status"] == "done"
 
     def test_unknown_job_is_a_404_everywhere(self, service_client):
         _service, client = service_client

@@ -112,15 +112,11 @@ class TestUninterruptedRun:
 
 
 class TestPreemption:
-    @pytest.mark.parametrize("backend", [None, "thread", "process"])
+    @pytest.mark.parametrize("backend", [None, "vectorized"])
     def test_preempted_then_resumed_is_bitwise_identical(
         self, tmp_path, store, backend
     ):
-        spec = make_spec(
-            n_clients=5,
-            backend=backend,
-            n_workers=1 if backend is None else 2,
-        )
+        spec = make_spec(n_clients=5, backend=backend)
         record = make_record(spec)
         ledger = Ledger()
         events = []

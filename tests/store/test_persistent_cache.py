@@ -91,15 +91,13 @@ class TestOracleStorePlumbing:
 
     def test_batch_only_executor_is_served_by_the_store(self):
         """A custom batch executor only ever sees store misses, like the
-        process, vectorized and fleet backends."""
+        vectorized and fleet backends."""
         store = MemoryUtilityStore()
         game = CountingGame()
         warm = BatchUtilityOracle(game, store=store, store_namespace="t")
         warm.evaluate_batch([[0, 1], [1, 2]])
 
         class MapExecutor(CoalitionExecutor):
-            n_workers = 1
-
             def map_utilities(self, evaluator, coalitions):
                 return [float(evaluator(c)) for c in coalitions]
 

@@ -138,32 +138,3 @@ class TestAccountingBlock:
     def test_accounting_is_json_serialisable(self, tmp_path):
         report, _ = run_once(tmp_path, "run")
         json.dumps(report.to_dict())
-
-
-class TestProcessWorkerSpans:
-    def test_worker_spans_flow_back_to_the_parent_journal(self, tmp_path):
-        plan = ExperimentPlan(
-            tasks=(TaskSpec(kind="adult", n_clients=3, model="mlp", scale="tiny"),),
-            algorithms=("MC-Shapley",),
-            n_workers=2,
-            backend="process",
-        )
-        with Telemetry.for_run_dir(str(tmp_path / "run")) as telemetry:
-            report = run_plan(plan, str(tmp_path / "run"), telemetry=telemetry)
-        assert report.fl_trainings > 0
-        records = read_journal(str(tmp_path / "run"))
-        workers = [r for r in records if r.get("name") == "worker.eval"]
-        assert len(workers) == report.fl_trainings
-        (root,) = build_span_tree(records)
-        batches = [
-            grandchild
-            for child in root.children
-            for grandchild in child.children
-            if grandchild.name == "oracle.batch"
-        ]
-        # worker spans nest under the batch spans that dispatched them
-        assert any(
-            child.name == "worker.eval"
-            for batch in batches
-            for child in batch.children
-        )

@@ -1,8 +1,8 @@
 """Tests for the process-safe JSONL run journal."""
 
 import json
+import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -66,8 +66,8 @@ class TestRunJournal:
         path = journal_path(str(tmp_path))
         journal = RunJournal(path)
         journal.write({"event": "span", "name": "parent"})
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            list(pool.map(_write_from_worker, [(path, i) for i in range(4)]))
+        with multiprocessing.Pool(processes=2) as pool:
+            pool.map(_write_from_worker, [(path, i) for i in range(4)])
         journal.close()
         records = read_journal(path)
         names = {record["name"] for record in records}

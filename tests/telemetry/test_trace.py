@@ -1,14 +1,11 @@
 """Tests for span tracing and the Telemetry handle."""
 
-import pickle
-
 import pytest
 
 from repro.telemetry import (
     NULL_SPAN,
     RunJournal,
     Telemetry,
-    TracedEvaluator,
     Tracer,
     journal_path,
     read_journal,
@@ -111,50 +108,3 @@ class TestTelemetryHandle:
         before = telemetry.snapshot()
         telemetry.count("c", 4)
         assert telemetry.delta_since(before) == {"c": 4.0}
-
-
-class TestWorkerEvaluator:
-    def test_wrap_passes_through_without_journal(self):
-        telemetry = Telemetry.in_memory()
-        evaluator = _double
-        assert telemetry.wrap_worker_evaluator(evaluator) is evaluator
-
-    def test_wrap_passes_through_when_disabled(self, tmp_path):
-        telemetry = Telemetry.for_run_dir(str(tmp_path))
-        telemetry.enabled = False
-        assert telemetry.wrap_worker_evaluator(_double) is _double
-        telemetry.close()
-
-    def test_traced_evaluator_preserves_values_and_emits_spans(self, tmp_path):
-        journal = RunJournal(journal_path(str(tmp_path)))
-        traced = TracedEvaluator(_double, journal, parent_id="abc.1")
-        assert traced(frozenset({0, 1})) == 4.0
-        journal.close()
-        (record,) = read_journal(str(tmp_path))
-        assert record["name"] == "worker.eval"
-        assert record["parent"] == "abc.1"
-        assert record["attrs"]["coalition_size"] == 2
-
-    def test_traced_evaluator_records_errors_and_reraises(self, tmp_path):
-        journal = RunJournal(journal_path(str(tmp_path)))
-        traced = TracedEvaluator(_boom, journal)
-        with pytest.raises(ValueError):
-            traced(frozenset())
-        journal.close()
-        assert read_journal(str(tmp_path))[0]["status"] == "error"
-
-    def test_traced_evaluator_is_picklable(self, tmp_path):
-        journal = RunJournal(journal_path(str(tmp_path)))
-        traced = TracedEvaluator(_double, journal, parent_id="abc.1")
-        clone = pickle.loads(pickle.dumps(traced))
-        assert clone(frozenset({2})) == 2.0
-        assert clone.parent_id == "abc.1"
-        journal.close()
-
-
-def _double(coalition):
-    return 2.0 * len(coalition)
-
-
-def _boom(coalition):
-    raise ValueError("bad coalition")

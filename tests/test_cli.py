@@ -323,7 +323,6 @@ class TestTaskFlagGroup:
             "config": None,
             "scenario": None,
             "algorithms": None,
-            "n_workers": 1,
             "backend": None,
             "queue_dir": None,
             "spawn_workers": 0,
@@ -354,7 +353,6 @@ class TestTaskFlagGroup:
             "stop_on": None,
             "checkpoint_every": 1,
             "backend": None,
-            "n_workers": 1,
             "wait": False,
             "stream": False,
             "json": False,

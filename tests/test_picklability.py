@@ -1,12 +1,13 @@
-"""The process-backend picklability contract (the RPR004 rule's referent).
+"""The fleet pickling-boundary contract (the RPR004 rule's referent).
 
-Everything the ``process`` executor backend ships to a worker — model
-factories, declarative task specs and their registered builders, scenario
-definitions — must survive ``pickle.dumps``/``pickle.loads``.  A lambda or
-closure anywhere on these paths works under the serial and thread backends
-and then breaks the moment ``--backend process`` is selected, which is why
-``repro check`` (rule RPR004) points here: this test pins the contract the
-rule enforces statically.
+Everything the ``fleet`` backend ships to its worker processes — the
+evaluator inside each :class:`~repro.fleet.queue.WorkPayload`, with its
+model factories, declarative task specs and their registered builders,
+scenario definitions — must survive ``pickle.dumps``/``pickle.loads``.  A
+lambda or closure anywhere on these paths works under the in-process
+serial and vectorized backends and then breaks the moment ``--backend
+fleet`` is selected, which is why ``repro check`` (rule RPR004) points
+here: this test pins the contract the rule enforces statically.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def test_every_catalog_scenario_pickles(scenario):
 
 def test_synthetic_evaluator_pickles():
     # End to end: ``trainer.utility`` is the evaluator the batch oracle hands
-    # to executors — exactly what the process backend pickles per worker.
+    # to executors — exactly what the fleet backend pickles into its queue.
     spec = _spec_for("synthetic")
     oracle = spec.build()
     evaluator = _round_trip(oracle.trainer.utility)
