@@ -12,7 +12,7 @@ The package is organised in five layers:
   utility oracle with serial, vectorized (lockstep) and fleet (multi-process)
   executors.
 * :mod:`repro.store` — persistent, content-addressed coalition-utility store
-  (SQLite / sharded JSONL) shared across processes and runs.
+  (one SQLite file) shared across processes and runs.
 * :mod:`repro.scenarios` — composable client-behavior scenarios (free riders,
   poisoners, sybils, stragglers, ...) and the valuation-robustness harness
   that scores every algorithm against them (see ``docs/scenarios.md``).

@@ -104,7 +104,7 @@ from repro.experiments.tables import robustness_table
 from repro.fleet.coordinator import WORKER_BACKENDS
 from repro.parallel.executors import EXECUTOR_BACKENDS
 from repro.scenarios import available_scenarios, get_scenario, run_robustness
-from repro.store import STORE_BACKENDS, open_store
+from repro.store import open_store
 from repro.telemetry import Telemetry, prometheus_text, read_journal
 from repro.telemetry.report import (
     build_span_tree,
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = store_sub.add_parser("stats", help="entry counts per task namespace")
     _add_store_arguments(stats, required=True)
     _add_output_arguments(stats)
-    gc = store_sub.add_parser("gc", help="drop corrupt/duplicate/foreign entries")
+    gc = store_sub.add_parser("gc", help="drop corrupt/foreign entries")
     _add_store_arguments(gc, required=True)
     gc.add_argument(
         "--keep-namespace",
@@ -490,12 +490,7 @@ def _add_store_arguments(parser: argparse.ArgumentParser, required: bool = False
     parser.add_argument(
         "--store",
         required=required,
-        help="persistent utility store path (SQLite file or JSONL directory)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=STORE_BACKENDS,
-        help="force a backend instead of inferring it from the path",
+        help="persistent utility store path (SQLite file)",
     )
 
 
@@ -508,7 +503,7 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
 def _open_store_arg(args) -> Optional[object]:
     if getattr(args, "store", None) is None:
         return None
-    return open_store(args.store, backend=getattr(args, "store_backend", None))
+    return open_store(args.store)
 
 
 def _fleet_overrides(args) -> dict:
@@ -801,13 +796,14 @@ def _cmd_run_scenarios(args) -> int:
             scale=args.scale,
             seed=args.seed,
             store=store,
-            backend=args.backend,
             resume=args.resume,
             log=None if quiet else lambda message: print(message, file=sys.stderr),
             stop_rule=_stop_rule_from_args(args),
             checkpoint_every=args.checkpoint_every,
             on_snapshot=callback,
             telemetry=telemetry,
+            backend=args.backend,
+            **_fleet_overrides(args),
         )
     finally:
         _close_callback(callback)
@@ -868,7 +864,6 @@ def _cmd_serve(args) -> int:
         args.state_dir,
         workers=args.workers,
         store_path=getattr(args, "store", None),
-        store_backend=getattr(args, "store_backend", None),
         log=None if quiet else lambda message: print(message, file=sys.stderr),
     )
     server = bind_server(service, host=args.host, port=args.port)
@@ -1036,7 +1031,6 @@ def _cmd_store_gc(args) -> int:
         return 0
     print(
         f"kept {result.kept} entries; dropped {result.dropped_corrupt} corrupt, "
-        f"{result.dropped_duplicates} duplicate, "
         f"{result.dropped_namespaces} out-of-namespace"
     )
     return 0

@@ -29,6 +29,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,9 @@ from repro.core.result import ValuationResult
 
 STATE_FORMAT_VERSION = 1
 
-#: two-sided normal quantile for the default 95% confidence level
+#: two-sided normal quantiles for the common confidence levels; pinned, since
+#: ``NormalDist`` differs from them in the last bits, which would move CI
+#: widths and ``ci:`` stop points
 _Z_BY_LEVEL = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 
 
@@ -47,9 +50,7 @@ def normal_quantile(level: float) -> float:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     if level in _Z_BY_LEVEL:
         return _Z_BY_LEVEL[level]
-    from scipy import stats
-
-    return float(stats.norm.ppf(0.5 + level / 2.0))
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def relative_error_l2(estimated: np.ndarray, exact: np.ndarray) -> float:
@@ -39,11 +38,25 @@ def max_absolute_error(estimated: np.ndarray, exact: np.ndarray) -> float:
     return float(np.max(np.abs(estimated - exact)))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts_group = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(starts_group)
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(starts_group) - 1]
+    return ranks
+
+
 def rank_correlation(estimated: np.ndarray, exact: np.ndarray) -> float:
     """Spearman rank correlation between estimated and exact values.
 
     Data markets mostly care about the *ordering* of clients; a high rank
-    correlation means the approximation preserves who is worth more.
+    correlation means the approximation preserves who is worth more.  It is
+    the Pearson correlation of the average ranks; a constant (or NaN-holding)
+    input has no defined correlation and scores 0.0.
     """
     estimated = np.asarray(estimated, dtype=float)
     exact = np.asarray(exact, dtype=float)
@@ -51,10 +64,16 @@ def rank_correlation(estimated: np.ndarray, exact: np.ndarray) -> float:
         raise ValueError("estimated and exact must have the same shape")
     if len(estimated) < 2:
         return 1.0
-    correlation = stats.spearmanr(estimated, exact).statistic
-    if np.isnan(correlation):
+    if np.isnan(estimated).any() or np.isnan(exact).any():
         return 0.0
-    return float(correlation)
+    a = _average_ranks(estimated)
+    b = _average_ranks(exact)
+    a -= a.mean()
+    b -= b.mean()
+    denominator = np.sqrt(np.dot(a, a) * np.dot(b, b))
+    if denominator == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / denominator, -1.0, 1.0))
 
 
 def null_player_error(values: np.ndarray, null_clients: Iterable[int]) -> float:

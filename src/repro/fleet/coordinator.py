@@ -16,9 +16,9 @@ agrees with every other backend by construction.
 
 The executor needs two things wired up before its first batch:
 
-* a *disk-backed* store and namespace, delivered by
-  :meth:`bind_store` (the oracle calls it whenever store or executor
-  change) — memory stores cannot cross processes and are rejected;
+* a SQLite store and namespace, delivered by :meth:`bind_store` (the
+  oracle calls it whenever store or executor change) — workers open the
+  same file, and any other store is rejected;
 * a picklable evaluator (no lambdas; lint rule RPR004), shipped to workers
   once per run via the queue's payload table.
 
@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.fleet.queue import DEFAULT_MAX_ATTEMPTS, LeaseQueue, WorkPayload
 from repro.parallel.executors import CoalitionExecutor, Evaluator, SerialExecutor
-from repro.store import MemoryUtilityStore, UtilityStore, utility_key
+from repro.store import SqliteUtilityStore, UtilityStore, utility_key
 
 #: executor backends a worker may run internally (no fleet-in-fleet)
 WORKER_BACKENDS = ("serial", "vectorized")
@@ -186,25 +186,13 @@ class FleetExecutor(CoalitionExecutor):
                 "store_namespace=...) / repro run --store ...) before "
                 "evaluating batches"
             )
-        if isinstance(store, MemoryUtilityStore):
+        if not isinstance(store, SqliteUtilityStore):
             raise RuntimeError(
-                "the fleet backend needs a disk-backed store (SQLite file or "
-                "JSONL directory): a memory store is invisible to worker "
-                "processes"
+                "the fleet backend needs a disk-backed store that its worker "
+                "processes can open (a SqliteUtilityStore), got a "
+                f"{type(store).__name__}"
             )
         return store
-
-    @staticmethod
-    def _store_backend_name(store: UtilityStore) -> str:
-        from repro.store import JsonlUtilityStore, SqliteUtilityStore
-
-        if isinstance(store, SqliteUtilityStore):
-            return "sqlite"
-        if isinstance(store, JsonlUtilityStore):
-            return "jsonl"
-        raise RuntimeError(
-            f"cannot ship store backend {type(store).__name__} to fleet workers"
-        )
 
     def _run_for(self, evaluator: Evaluator, store: UtilityStore) -> str:
         """Register (once) and return the queue run for this evaluator."""
@@ -220,7 +208,6 @@ class FleetExecutor(CoalitionExecutor):
         payload = WorkPayload(
             evaluator=evaluator,
             store_path=store.location,
-            store_backend=self._store_backend_name(store),
             namespace=self._namespace or "default",
             journal_path=journal_path,
             parent_span=parent_span,

@@ -90,15 +90,16 @@ class WorkPayload:
     """Everything a worker needs to evaluate one run's batches.
 
     The evaluator must be picklable (the contract rule RPR004 checks and
-    ``tests/test_picklability.py`` pins); the store travels as a *path + backend name*, never as
-    a live handle — each worker opens its own connection.  ``journal_path``
-    and ``parent_span`` let worker-side ``fleet.claim``/``fleet.batch``
-    spans land in the coordinating run's telemetry journal.
+    ``tests/test_picklability.py`` pins); the store travels as the path of
+    its SQLite file, never as a live handle — each worker opens its own
+    connection.  ``journal_path`` and ``parent_span`` let worker-side
+    ``fleet.claim``/``fleet.batch`` spans land in the coordinating run's
+    telemetry journal.  Payloads pickled by older versions also carry the
+    retired store-format name; unpickling keeps it and nothing reads it.
     """
 
     evaluator: object
     store_path: str
-    store_backend: str
     namespace: str
     journal_path: Optional[str] = None
     parent_span: Optional[str] = None

@@ -84,7 +84,7 @@ class _RunContext:
         self.queue = queue
         self.worker_id = worker_id
         self.batch_id = ""
-        self.store = open_store(payload.store_path, payload.store_backend)
+        self.store = open_store(payload.store_path)
         self.oracle = BatchUtilityOracle(
             payload.evaluator,
             executor=backend,

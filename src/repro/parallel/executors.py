@@ -198,7 +198,9 @@ class VectorizedExecutor(CoalitionExecutor):
             if self.strict:
                 raise ValueError(f"vectorized backend cannot engage: {reason}")
             self.last_fallback_reason = reason
-            return SerialExecutor().map_utilities(evaluator, coalitions)
+            fallback = SerialExecutor()
+            fallback.set_telemetry(self.telemetry)
+            return fallback.map_utilities(evaluator, coalitions)
         self.last_fallback_reason = None
         return self._engine_for(trainer).utilities(coalitions)
 

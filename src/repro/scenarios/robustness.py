@@ -135,13 +135,17 @@ def build_robustness_plan(
     model: str = "logistic",
     scale: str = "tiny",
     seed: int = 0,
-    backend: Optional[str] = None,
     name: str = "robustness",
+    **execution,
 ):
     """The (clean ∪ adversarial) task grid of a robustness campaign, as a plan.
 
     Clean counterparts are deduplicated by content fingerprint, so scenarios
     sharing a base recipe contribute a single set of clean cells.
+    ``execution`` holds the plan's machine-local execution fields
+    (``backend`` and the fleet's ``queue_dir``, ``spawn_workers``,
+    ``worker_backend``, ``lease_seconds``; see
+    :class:`~repro.experiments.pipeline.ExperimentPlan`).
     """
     from repro.experiments.pipeline import DEFAULT_ALGORITHMS, ExperimentPlan
     from repro.experiments.specs import TaskSpec
@@ -175,7 +179,7 @@ def build_robustness_plan(
         tasks=tuple(specs),
         algorithms=tuple(algorithms) if algorithms else DEFAULT_ALGORITHMS,
         name=name,
-        backend=backend,
+        **execution,
     )
     return plan, pairs
 
@@ -196,13 +200,13 @@ def run_robustness(
     scale: str = "tiny",
     seed: int = 0,
     store=None,
-    backend: Optional[str] = None,
     resume: bool = False,
     log: Optional[Callable[[str], None]] = None,
     stop_rule=None,
     checkpoint_every: int = 1,
     on_snapshot=None,
     telemetry=None,
+    **execution,
 ) -> RobustnessReport:
     """Run an algorithm × scenario grid and score every cell's robustness.
 
@@ -218,6 +222,7 @@ def run_robustness(
     :func:`~repro.experiments.pipeline.run_plan`: cells can stop early on a
     convergence rule (their robustness is then scored on the early-stopped
     values) and interrupted cells resume from their estimator checkpoints.
+    ``execution`` picks the backend as in :func:`build_robustness_plan`.
     """
     from repro.experiments.pipeline import cell_id, load_manifest, run_plan
 
@@ -227,7 +232,7 @@ def run_robustness(
         model=model,
         scale=scale,
         seed=seed,
-        backend=backend,
+        **execution,
     )
     run_report = run_plan(
         plan,

@@ -67,7 +67,6 @@ class ValuationService:
         workers: int = 2,
         store: Optional[UtilityStore] = None,
         store_path: Optional[str] = None,
-        store_backend: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
         log: Optional[Callable[[str], None]] = None,
         poll_seconds: float = 0.2,
@@ -77,16 +76,17 @@ class ValuationService:
         self.state_dir = str(state_dir)
         os.makedirs(self.state_dir, exist_ok=True)
         self.workers = int(workers)
-        self.jobs = JobStore(self.state_dir)
+        # The store opens first: a rejected store path must not leave the
+        # job store's connection behind.
         if store is not None:
             self.store = store
             self._owns_store = False
         else:
             self.store = open_store(
-                store_path or os.path.join(self.state_dir, DEFAULT_STORE_FILENAME),
-                backend=store_backend,
+                store_path or os.path.join(self.state_dir, DEFAULT_STORE_FILENAME)
             )
             self._owns_store = True
+        self.jobs = JobStore(self.state_dir)
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry.for_run_dir(self.state_dir)
         )

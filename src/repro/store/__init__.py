@@ -8,12 +8,12 @@ process.  This package adds the disk tier beneath it:
 * :mod:`repro.store.fingerprint` — stable content fingerprints of task specs
   and coalitions (canonical JSON → SHA-256), so two processes always agree on
   the key of the same training result;
-* :class:`UtilityStore` — the backend interface, with
-  :class:`MemoryUtilityStore` (reference/tests),
-  :class:`JsonlUtilityStore` (sharded append-only JSONL) and
-  :class:`SqliteUtilityStore` (one WAL-mode SQLite file, the default);
-* :func:`open_store` — path-based factory used by the builders and the
-  ``repro`` CLI.
+* :class:`UtilityStore` — the store interface, with
+  :class:`SqliteUtilityStore` (one WAL-mode SQLite file, the only disk
+  format) and :class:`MemoryUtilityStore` (the in-process reference that
+  tests run against);
+* :func:`open_store` — opens the SQLite file at a path; used by the
+  builders, the service, fleet workers and the ``repro`` CLI.
 
 Values stay bitwise-identical to a fresh evaluation, and a store hit performs
 zero FL trainings — which is what makes benchmark campaigns resumable and
@@ -37,41 +37,29 @@ from repro.store.fingerprint import (
     key_namespace,
     utility_key,
 )
-from repro.store.jsonl import JsonlUtilityStore
 from repro.store.sqlite import SqliteUtilityStore
 
 #: what the store-accepting APIs take: an instance, a path, or nothing
 StoreLike = Union[UtilityStore, str, os.PathLike, None]
 
-#: backend names accepted by :func:`open_store`
-STORE_BACKENDS = ("sqlite", "jsonl", "memory")
 
+def open_store(path: Union[str, os.PathLike]) -> SqliteUtilityStore:
+    """Open (creating if necessary) the SQLite store file at ``path``.
 
-def open_store(path: Union[str, os.PathLike], backend: Optional[str] = None) -> UtilityStore:
-    """Open (creating if necessary) a persistent store at ``path``.
-
-    With ``backend=None`` the kind is inferred: an existing directory — or a
-    path without a file suffix — opens as a sharded JSONL store, anything
-    else as a single SQLite file.  ``backend="memory"`` ignores the path.
+    An existing directory is rejected with the upgrade path: it is a store
+    in the retired sharded-JSONL format, which is no longer read.
     """
     path = os.fspath(path)
-    if backend is None:
-        if os.path.isdir(path) or not os.path.splitext(path)[1]:
-            backend = "jsonl"
-        elif os.path.splitext(path)[1] == ".jsonl":
-            backend = "jsonl"
-        else:
-            backend = "sqlite"
-    if backend == "sqlite":
-        return SqliteUtilityStore(path)
-    if backend == "jsonl":
-        return JsonlUtilityStore(path)
-    if backend == "memory":
-        return MemoryUtilityStore()
-    raise ValueError(f"unknown store backend {backend!r}; choose from {STORE_BACKENDS}")
+    if os.path.isdir(path):
+        raise ValueError(
+            f"store path {path!r} is a directory: JSONL stores are no longer "
+            "read. Their entries are a cache, and the same training "
+            "recomputes them bitwise, so pass a .sqlite file path instead"
+        )
+    return SqliteUtilityStore(path)
 
 
-def resolve_store(store: StoreLike, backend: Optional[str] = None) -> tuple[Optional[UtilityStore], bool]:
+def resolve_store(store: StoreLike) -> tuple[Optional[UtilityStore], bool]:
     """Normalise a :data:`StoreLike` into ``(store, owned)``.
 
     Paths are opened here and flagged ``owned=True`` so whoever resolved them
@@ -82,15 +70,13 @@ def resolve_store(store: StoreLike, backend: Optional[str] = None) -> tuple[Opti
         return None, False
     if isinstance(store, UtilityStore):
         return store, False
-    return open_store(store, backend), True
+    return open_store(store), True
 
 
 __all__ = [
     "FINGERPRINT_SCHEMA_VERSION",
     "GCResult",
-    "JsonlUtilityStore",
     "MemoryUtilityStore",
-    "STORE_BACKENDS",
     "SqliteUtilityStore",
     "StoreLike",
     "StoreStats",

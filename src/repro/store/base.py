@@ -6,8 +6,8 @@ beneath the memo of :class:`~repro.parallel.batch_oracle.BatchUtilityOracle`:
 values written here survive the process, so separate workers — and separate
 *runs*, days apart — share FL-training results instead of re-paying the
 per-coalition cost τ.  Backends must preserve floats bitwise (IEEE-754 doubles round-trip
-exactly through both SQLite REAL columns and ``repr``-based JSON), which is
-what makes stored-vs-fresh utilities bitwise-identical.
+exactly through SQLite REAL columns), which is what makes stored-vs-fresh
+utilities bitwise-identical.
 
 Backends are concurrency-safe within a process (internal lock) and tolerate
 concurrent writers across processes for distinct keys; a key is only ever
@@ -56,18 +56,16 @@ class GCResult:
 
     kept: int = 0
     dropped_corrupt: int = 0
-    dropped_duplicates: int = 0
     dropped_namespaces: int = 0
 
     @property
     def dropped(self) -> int:
-        return self.dropped_corrupt + self.dropped_duplicates + self.dropped_namespaces
+        return self.dropped_corrupt + self.dropped_namespaces
 
     def to_dict(self) -> dict:
         return {
             "kept": self.kept,
             "dropped_corrupt": self.dropped_corrupt,
-            "dropped_duplicates": self.dropped_duplicates,
             "dropped_namespaces": self.dropped_namespaces,
         }
 
@@ -162,10 +160,9 @@ class UtilityStore(abc.ABC):
     def summary(self) -> dict:
         """Describe the store: backend, location, entry counts per namespace.
 
-        ``namespace_bytes`` maps each namespace to its on-disk byte size when
-        the backend can attribute bytes to records (JSONL: actual line
-        lengths; SQLite: row-payload estimates) and is ``None`` for backends
-        that cannot (memory).
+        ``namespace_bytes`` maps each namespace to its estimated on-disk
+        row-payload bytes (SQLite) and is ``None`` for the memory store,
+        which has no disk.
         """
         with self._lock:
             self._check_open()
@@ -183,8 +180,8 @@ class UtilityStore(abc.ABC):
             }
 
     def gc(self, keep_namespace: Optional[str] = None) -> GCResult:
-        """Compact the store: drop corrupt/duplicate records, optionally
-        everything outside ``keep_namespace``."""
+        """Compact the store: drop corrupt records, optionally everything
+        outside ``keep_namespace``."""
         with self._lock:
             self._check_open()
             return self._gc(keep_namespace)
@@ -252,7 +249,7 @@ class MemoryUtilityStore(UtilityStore):
 
     Not persistent, obviously — it exists so the tiered-cache logic can be
     exercised (and benchmarked) without touching disk, and as the executable
-    specification the disk backends are tested against.
+    specification the SQLite store is tested against.
     """
 
     def __init__(self) -> None:

@@ -37,6 +37,7 @@ from repro.core.anytime import (
     capture_rng_state,
     decode_state_value,
     encode_state_value,
+    normal_quantile,
     restore_rng,
 )
 
@@ -372,6 +373,14 @@ def _snapshot(values, evaluations=10, elapsed=1.0, stderr=None, n_samples=None, 
 
 
 class TestStoppingRules:
+    def test_normal_quantile_keeps_its_table_and_computes_the_rest(self):
+        # The pinned 95% value, not NormalDist's 1.9599639845400536: CI widths
+        # and ci: stop points depend on the last bit.
+        assert normal_quantile(0.95) == 1.959963984540054
+        assert normal_quantile(0.8) == pytest.approx(1.2815515655446004, abs=1e-15)
+        with pytest.raises(ValueError, match="confidence level"):
+            normal_quantile(1.0)
+
     def test_budget_rule(self):
         rule = BudgetRule(16)
         assert not rule.should_stop(_snapshot([1, 2], evaluations=15))

@@ -1,7 +1,11 @@
 """Tests for valuation metrics, the closed-form theory and variance analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     MCShapley,
@@ -22,6 +26,12 @@ from repro.core.result import ValuationResult
 from repro.fl import TabularUtility
 
 from tests.helpers import monotone_game
+
+#: small integers tie often; finite floats cover the untied case
+_tie_prone = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
 
 
 class TestErrorMetrics:
@@ -54,6 +64,29 @@ class TestErrorMetrics:
 
     def test_rank_correlation_constant_input(self):
         assert rank_correlation(np.ones(4), np.arange(4.0)) == 0.0
+
+    def test_rank_correlation_averages_tied_ranks(self):
+        # ranks (1, 2.5, 2.5, 4) against (1, 2, 3, 4): 4.5 / sqrt(4.5 * 5)
+        estimated = np.array([1.0, 2.0, 2.0, 3.0])
+        exact = np.array([1.0, 2.0, 3.0, 4.0])
+        expected = pytest.approx(np.sqrt(0.9), abs=1e-15)
+        assert rank_correlation(estimated, exact) == expected
+        assert rank_correlation(exact, estimated) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 20).flatmap(
+            lambda n: st.tuples(*[st.lists(_tie_prone, min_size=n, max_size=n)] * 2)
+        )
+    )
+    def test_rank_correlation_matches_scipy_spearman(self, pair):
+        stats = pytest.importorskip("scipy.stats")
+        estimated, exact = np.array(pair[0]), np.array(pair[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant input: scipy warns, gives NaN
+            expected = stats.spearmanr(estimated, exact).statistic
+        expected = 0.0 if np.isnan(expected) else expected
+        assert abs(rank_correlation(estimated, exact) - expected) <= 1e-12
 
 
 class TestFairnessProxies:

@@ -20,7 +20,6 @@ def make_payload(namespace="ns"):
     return WorkPayload(
         evaluator=len,  # picklable stand-in; queue tests never evaluate
         store_path="/tmp/store.sqlite",
-        store_backend="sqlite",
         namespace=namespace,
     )
 
@@ -39,7 +38,7 @@ class TestRuns:
         queue.register_run("r1", make_payload("abc"))
         payload = queue.run_payload("r1")
         assert payload.namespace == "abc"
-        assert payload.store_backend == "sqlite"
+        assert payload.store_path == "/tmp/store.sqlite"
         assert queue.active_runs() == ["r1"]
 
     def test_finish_run_removes_from_active(self, queue):
@@ -55,7 +54,6 @@ class TestRuns:
         payload = WorkPayload(
             evaluator=lambda c: 0.0,
             store_path="s",
-            store_backend="sqlite",
             namespace="n",
         )
         with pytest.raises(ValueError, match="RPR004"):

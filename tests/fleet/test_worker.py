@@ -34,7 +34,6 @@ def rig(tmp_path):
         WorkPayload(
             evaluator=evaluator,
             store_path=store_path,
-            store_backend="sqlite",
             namespace=NAMESPACE,
         ),
     )
@@ -98,6 +97,35 @@ class TestServeBatches:
         assert stats.store_hits == len(coalitions)
         assert queue.training_counts() == (len(coalitions), len(coalitions))
 
+    def test_payload_pickled_by_an_older_version_still_runs(self, tmp_path):
+        """Older versions' payloads carry a ``store_backend`` field; they
+        unpickle, and the worker opens the store from ``store_path``."""
+        store_path = str(tmp_path / "store.sqlite")
+        evaluator = ModeledCostEvaluator(n_clients=N, tau=0.0, seed=7)
+        legacy = WorkPayload.__new__(WorkPayload)
+        legacy.__dict__.update(
+            evaluator=evaluator,
+            store_path=store_path,
+            store_backend="sqlite",
+            namespace=NAMESPACE,
+            journal_path=None,
+            parent_span=None,
+        )
+        with LeaseQueue(str(tmp_path / "q")) as queue:
+            queue.register_run("r1", legacy)
+            assert queue.run_payload("r1").store_path == store_path
+            coalitions = plan()
+            queue.enqueue("r1", [coalitions])
+            stats = run_worker(
+                queue.queue_dir, poll_interval=0.01, max_batches=1, worker_id="w1"
+            )
+            assert (stats.batches, stats.trainings) == (1, len(coalitions))
+        with open_store(store_path) as store:
+            for coalition in coalitions:
+                assert store.get(utility_key(NAMESPACE, coalition)) == evaluator(
+                    coalition
+                )
+
 
 class TestFailureSemantics:
     def test_failed_evaluation_releases_the_batch(self, tmp_path):
@@ -107,7 +135,6 @@ class TestFailureSemantics:
             WorkPayload(
                 evaluator=ExplodingEvaluator(),
                 store_path=str(tmp_path / "store.sqlite"),
-                store_backend="sqlite",
                 namespace=NAMESPACE,
             ),
         )
@@ -136,7 +163,6 @@ class TestFailureSemantics:
             WorkPayload(
                 evaluator=NaNEvaluator(),
                 store_path=str(tmp_path / "store.sqlite"),
-                store_backend="sqlite",
                 namespace=NAMESPACE,
             ),
         )

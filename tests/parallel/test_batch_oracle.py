@@ -425,11 +425,13 @@ class TestTelemetryReach:
         oracle.set_telemetry(None)
         assert store.telemetry is None
 
-    def test_eval_seconds_once_per_in_process_call(self):
+    @pytest.mark.parametrize("executor", ["serial", "vectorized"])
+    def test_eval_seconds_once_per_in_process_call(self, executor):
+        """Also on the vectorized backend's serial fallback (a plain game)."""
         telemetry = Telemetry.in_memory()
         game = monotone_game(4, seed=2)
         with BatchUtilityOracle(
-            game, n_clients=4, executor="serial", telemetry=telemetry
+            game, n_clients=4, executor=executor, telemetry=telemetry
         ) as oracle:
             oracle.evaluate_batch([{0}, {1}, {0, 1}])
             batch_timings = _eval_count(telemetry)

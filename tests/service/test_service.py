@@ -281,6 +281,18 @@ class TestRestart:
             service.stop()
 
 
+class TestStorePath:
+    def test_directory_store_path_fails_with_the_upgrade_path(self, tmp_path):
+        """A directory store (the retired JSONL format) is named, not
+        reported as SQLite's "unable to open database file"."""
+        (tmp_path / "store-dir").mkdir()
+        with pytest.raises(ValueError, match="JSONL stores are no longer read"):
+            ValuationService(
+                str(tmp_path / "state"), store_path=str(tmp_path / "store-dir")
+            )
+        assert not os.path.exists(tmp_path / "state" / "jobs.sqlite")
+
+
 class TestObservability:
     def test_metrics_text_reports_lifecycle_counters(self, tmp_path):
         service = start_service(tmp_path)

@@ -1,20 +1,17 @@
 """Store behaviour under many concurrent writers (and gc racing them).
 
-Satellites of the fleet PR: the SQLite store's explicit ``busy_timeout`` +
-bounded busy retry must survive many writer *processes* hammering one file,
-and ``store gc`` must be safe to run while depositors are live — an entry
-deposited after gc started is never deleted (SQLite: predicate-carrying
-DELETEs; JSONL: per-shard exclusive flock against the appenders' shared
-locks).
+The SQLite store's explicit ``busy_timeout`` + bounded busy retry must
+survive many writer *processes* hammering one file, and ``store gc`` must be
+safe to run while depositors are live — an entry deposited after gc started
+is never deleted (the DELETEs carry their predicates into the database).
 """
 
 import subprocess
 import sys
-import threading
 
 import pytest
 
-from repro.store import open_store, utility_key
+from repro.store import open_store
 from repro.store.sqlite import BUSY_RETRIES, is_busy_error, run_with_busy_retry
 
 NAMESPACE = "concurrent"
@@ -107,51 +104,3 @@ class TestSqliteManyWriters:
         assert len(attempts) == 1
         assert not is_busy_error(sqlite3.OperationalError("no such table"))
         assert is_busy_error(sqlite3.OperationalError("database is locked"))
-
-
-class TestJsonlGcVsWriters:
-    def test_appends_racing_gc_are_never_lost(self, tmp_path):
-        directory = str(tmp_path / "store-jsonl")
-        stop = threading.Event()
-        errors = []
-
-        def gc_loop():
-            with open_store(directory, backend="jsonl") as collector:
-                while not stop.is_set():
-                    try:
-                        collector.gc(keep_namespace=NAMESPACE)
-                    except Exception as error:  # noqa: BLE001 - test must surface it
-                        errors.append(error)
-                        return
-
-        with open_store(directory, backend="jsonl") as store:
-            store.put(utility_key(NAMESPACE, {0}), 1.0)  # shard files exist
-            collector = threading.Thread(target=gc_loop)
-            collector.start()
-            keys = []
-            for i in range(300):
-                key = utility_key(NAMESPACE, {i % 9, i % 13, 17 + (i % 5)})
-                keys.append((key, float(i)))
-                store.put(key, float(i))
-            stop.set()
-            collector.join(timeout=60)
-        assert errors == []
-
-        # Re-open cold: every surviving key must carry its *latest* value
-        # (puts overwrite, so only last-write-per-key is observable).
-        latest = {}
-        for key, value in keys:
-            latest[key] = value
-        with open_store(directory, backend="jsonl") as store:
-            for key, value in latest.items():
-                assert store.get(key) == value, key
-
-    def test_gc_compacts_duplicates_without_losing_latest(self, tmp_path):
-        directory = str(tmp_path / "store-jsonl")
-        with open_store(directory, backend="jsonl") as store:
-            key = utility_key(NAMESPACE, {1, 2})
-            for value in (1.0, 2.0, 3.0):
-                store.put(key, value)
-            result = store.gc()
-            assert result.dropped_duplicates >= 1
-            assert store.get(key) == 3.0

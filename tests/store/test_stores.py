@@ -1,27 +1,22 @@
-"""Backend-agnostic contract tests for the persistent utility stores."""
+"""Contract tests for the utility stores: SQLite and its in-memory reference."""
 
-import json
-import os
 import sqlite3
 
 import pytest
 
 from repro.store import (
-    JsonlUtilityStore,
     MemoryUtilityStore,
     SqliteUtilityStore,
     open_store,
     utility_key,
 )
 
-BACKENDS = ("memory", "jsonl", "sqlite")
+BACKENDS = ("memory", "sqlite")
 
 
 def make_store(backend: str, tmp_path):
     if backend == "memory":
         return MemoryUtilityStore()
-    if backend == "jsonl":
-        return JsonlUtilityStore(str(tmp_path / "store"))
     return SqliteUtilityStore(str(tmp_path / "store.sqlite"))
 
 
@@ -108,7 +103,7 @@ class TestStoreContract:
             store.get("ns:0")
 
 
-@pytest.mark.parametrize("backend", ("jsonl", "sqlite"))
+@pytest.mark.parametrize("backend", ("sqlite",))
 class TestPersistence:
     def test_values_survive_reopen(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
@@ -126,59 +121,6 @@ class TestPersistence:
         assert reader.get("t:0") == 0.25
         writer.close()
         reader.close()
-
-
-class TestJsonlCorruptionRecovery:
-    def test_garbage_lines_are_skipped_and_gced(self, tmp_path):
-        store = JsonlUtilityStore(str(tmp_path / "store"))
-        store.put("t:0", 0.5)
-        store.put("t:1", 0.6)
-        store.close()
-        # Corrupt every shard file with a torn line and a wrong-typed record.
-        directory = tmp_path / "store"
-        for shard in os.listdir(directory):
-            with open(directory / shard, "a", encoding="utf-8") as handle:
-                handle.write("{torn json...\n")
-                handle.write(json.dumps({"key": "t:9", "value": "high"}) + "\n")
-
-        store = JsonlUtilityStore(str(tmp_path / "store"))
-        assert store.get("t:0") == 0.5  # valid records still readable
-        assert store.get("t:9") is None  # corrupt record reads as a miss
-        assert store.stats.corrupt_entries > 0
-        result = store.gc()
-        assert result.dropped_corrupt > 0
-        assert result.kept == 2
-        # After compaction the shards parse cleanly again.
-        store.close()
-        store = JsonlUtilityStore(str(tmp_path / "store"))
-        assert store.get("t:0") == 0.5
-        assert store.stats.corrupt_entries == 0
-        store.close()
-
-    def test_gc_drops_superseded_duplicates(self, tmp_path):
-        store = JsonlUtilityStore(str(tmp_path / "store"))
-        store.put("t:0", 0.1)
-        store.put("t:0", 0.2)
-        result = store.gc()
-        assert result.dropped_duplicates == 1
-        assert store.get("t:0") == 0.2
-        store.close()
-
-    def test_partial_trailing_line_is_not_consumed(self, tmp_path):
-        """A concurrent writer's half-flushed line must stay pending, then be
-        picked up once complete."""
-        store = JsonlUtilityStore(str(tmp_path / "store"))
-        store.put("t:0", 0.5)
-        shard_path = store._shard_for("t:1").path
-        record = json.dumps({"key": "t:1", "value": 0.75})
-        with open(shard_path, "a", encoding="utf-8") as handle:
-            handle.write(record[:10])  # torn mid-record, no newline
-        assert store.get("t:1") is None
-        assert store.stats.corrupt_entries == 0  # pending, not corrupt
-        with open(shard_path, "a", encoding="utf-8") as handle:
-            handle.write(record[10:] + "\n")  # writer finishes
-        assert store.get("t:1") == 0.75
-        store.close()
 
 
 class TestSqliteCorruptionRecovery:
@@ -204,27 +146,21 @@ class TestSqliteCorruptionRecovery:
 
 
 class TestOpenStore:
-    def test_suffix_dispatch(self, tmp_path):
-        sqlite_store = open_store(tmp_path / "a.sqlite")
-        jsonl_store = open_store(tmp_path / "a-directory")
-        try:
-            assert isinstance(sqlite_store, SqliteUtilityStore)
-            assert isinstance(jsonl_store, JsonlUtilityStore)
-        finally:
-            sqlite_store.close()
-            jsonl_store.close()
+    @pytest.mark.parametrize("name", ["a.sqlite", "no-suffix", "legacy.jsonl"])
+    def test_every_path_opens_sqlite(self, tmp_path, name):
+        with open_store(tmp_path / name) as store:
+            assert isinstance(store, SqliteUtilityStore)
+            store.put("t:0", 0.5)
+        assert (tmp_path / name).is_file()
 
-    def test_existing_directory_is_jsonl(self, tmp_path):
-        (tmp_path / "store.d").mkdir()
-        store = open_store(tmp_path / "store.d")
-        assert isinstance(store, JsonlUtilityStore)
-        store.close()
-
-    def test_explicit_backend_wins(self, tmp_path):
-        store = open_store(tmp_path / "odd-name.sqlite", backend="jsonl")
-        assert isinstance(store, JsonlUtilityStore)
-        store.close()
-
-    def test_unknown_backend_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            open_store(tmp_path / "x", backend="redis")
+    def test_existing_directory_fails_with_the_upgrade_path(self, tmp_path):
+        directory = tmp_path / "store.d"
+        directory.mkdir()
+        with pytest.raises(ValueError) as excinfo:
+            open_store(directory)
+        message = str(excinfo.value)
+        assert "JSONL stores are no longer read" in message
+        assert "cache" in message
+        assert "recomputes them bitwise" in message
+        assert ".sqlite file" in message
+        assert list(directory.iterdir()) == []

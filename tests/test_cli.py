@@ -213,6 +213,28 @@ class TestScenarioCommands:
         assert code == 0
         assert json.loads(out)["fl_trainings"] == 0
 
+    def test_run_scenario_on_the_fleet_backend(self, tmp_path, capsys):
+        """The fleet flags reach the robustness plan; values match serial."""
+        args = [
+            "--scenario", "free-rider", "--algorithms", "MC-Shapley",
+            "--scale", "tiny", "--json",
+        ]
+        code, out = run_cli(
+            capsys,
+            "run", "--run-dir", str(tmp_path / "fleet"),
+            "--store", str(tmp_path / "store.sqlite"), "--backend", "fleet",
+            "--queue-dir", str(tmp_path / "queue"), "--spawn-workers", "1", *args,
+        )
+        assert code == 0
+        fleet = json.loads(out)
+        code, out = run_cli(capsys, "run", "--run-dir", str(tmp_path / "serial"), *args)
+        assert code == 0
+        serial = json.loads(out)
+        assert [row["values"] for row in fleet["rows"]] == [
+            row["values"] for row in serial["rows"]
+        ]
+        assert fleet["fl_trainings"] == serial["fl_trainings"] > 0
+
     def test_run_scenario_rejects_config(self, tmp_path, capsys):
         code, _ = run_cli(
             capsys,
@@ -301,6 +323,30 @@ class TestStoreCommands:
         code, _ = run_cli(capsys, "store", "gc", "--store", str(missing), "--json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--run-dir", "r", *TASK_FLAGS],
+            ["resume", "--run-dir", "r"],
+            ["serve", "state", "--port", "0"],
+            ["store", "stats"],
+            ["store", "gc"],
+        ],
+        ids=["run", "resume", "serve", "store-stats", "store-gc"],
+    )
+    def test_directory_store_fails_with_the_upgrade_path(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        """A directory (the retired JSONL format) exits 2 naming the cause,
+        not with SQLite's "unable to open database file"."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "store-dir").mkdir()
+        code = main([*argv, "--store", "store-dir"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "JSONL stores are no longer read" in err
+        assert "pass a .sqlite file" in err
+
 
 class TestTaskFlagGroup:
     """``run`` and ``submit`` share one task-flag group; defaults are pinned."""
@@ -336,7 +382,6 @@ class TestTaskFlagGroup:
             "json_stream": False,
             "no_telemetry": False,
             "store": None,
-            "store_backend": None,
             "json": False,
         }
 
