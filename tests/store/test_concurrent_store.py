@@ -3,15 +3,17 @@
 The SQLite store's explicit ``busy_timeout`` + bounded busy retry must
 survive many writer *processes* hammering one file, and ``store gc`` must be
 safe to run while depositors are live — an entry deposited after gc started
-is never deleted (the DELETEs carry their predicates into the database).
+is never deleted (the DELETEs carry their predicates into the database),
+whether the writers are other processes or another thread of this one.
 """
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from repro.store import open_store
+from repro.store import open_store, utility_key
 from repro.store.sqlite import BUSY_RETRIES, is_busy_error, run_with_busy_retry
 
 NAMESPACE = "concurrent"
@@ -75,6 +77,43 @@ class TestSqliteManyWriters:
             assert process.returncode == 0, err
         with open_store(path) as store:
             assert len(store) == 3 * 40
+
+    def test_appends_racing_gc_are_never_lost(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        stop = threading.Event()
+        errors = []
+
+        def gc_loop():
+            with open_store(path) as collector:
+                while not stop.is_set():
+                    try:
+                        collector.gc(keep_namespace=NAMESPACE)
+                    except Exception as error:  # noqa: BLE001 - test must surface it
+                        errors.append(error)
+                        return
+
+        with open_store(path) as store:
+            store.put(utility_key(NAMESPACE, {0}), 1.0)  # the file exists
+            collector = threading.Thread(target=gc_loop)
+            collector.start()
+            latest = {}
+            try:
+                for i in range(300):
+                    key = utility_key(NAMESPACE, {i % 9, i % 13, 17 + (i % 5)})
+                    latest[key] = float(i)
+                    store.put(key, float(i))
+            finally:
+                stop.set()
+                collector.join(timeout=60)
+        assert not collector.is_alive()
+        assert errors == []
+
+        # Re-open cold: every key carries its *latest* value (puts overwrite,
+        # so only the last write per key is observable).
+        with open_store(path) as store:
+            assert len(store) == len(latest) + 1
+            for key, value in latest.items():
+                assert store.get(key) == value, key
 
     def test_busy_retry_gives_up_after_bounded_attempts(self):
         import sqlite3

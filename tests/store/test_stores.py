@@ -8,6 +8,7 @@ from repro.store import (
     MemoryUtilityStore,
     SqliteUtilityStore,
     open_store,
+    resolve_store,
     utility_key,
 )
 
@@ -83,6 +84,19 @@ class TestStoreContract:
         assert store.get(utility_key("drop", [0])) is None
         store.close()
 
+    def test_gc_keeps_the_latest_overwrite(self, backend, tmp_path):
+        store = make_store(backend, tmp_path)
+        key = utility_key("ns", [1, 2])
+        for value in (1.0, 2.0, 3.0):
+            store.put(key, value)
+        result = store.gc()
+        assert result.kept == 1
+        assert result.dropped == 0
+        store = reopen(store, backend, tmp_path)
+        assert store.get(key) == 3.0
+        assert len(store) == 1
+        store.close()
+
     def test_stats_counters(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
         store.put("ns:0", 0.5)
@@ -144,6 +158,29 @@ class TestSqliteCorruptionRecovery:
         assert result.kept == 1
         store.close()
 
+    def test_blob_and_text_values_read_as_misses_and_gc(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        store = SqliteUtilityStore(path)
+        store.put_many({"t:0": 0.5, "t:1": 0.6, "t:2": 0.7})
+        store.close()
+        connection = sqlite3.connect(path)
+        connection.execute("UPDATE utilities SET value = x'00ff' WHERE key = 't:1'")
+        connection.execute("UPDATE utilities SET value = 'torn' WHERE key = 't:2'")
+        connection.commit()
+        connection.close()
+
+        store = SqliteUtilityStore(path)
+        assert store.get_many(["t:0", "t:1", "t:2"]) == {"t:0": 0.5}
+        assert store.stats.corrupt_entries == 2
+        result = store.gc()
+        assert result.dropped_corrupt == 2
+        assert result.kept == 1
+        store.close()
+        with SqliteUtilityStore(path) as store:
+            assert store.get("t:0") == 0.5
+            assert len(store) == 1
+            assert store.stats.corrupt_entries == 0
+
 
 class TestOpenStore:
     @pytest.mark.parametrize("name", ["a.sqlite", "no-suffix", "legacy.jsonl"])
@@ -164,3 +201,15 @@ class TestOpenStore:
         assert "recomputes them bitwise" in message
         assert ".sqlite file" in message
         assert list(directory.iterdir()) == []
+
+    def test_resolve_store_owns_only_the_paths_it_opens(self, tmp_path):
+        assert resolve_store(None) == (None, False)
+        memory = MemoryUtilityStore()
+        assert resolve_store(memory) == (memory, False)
+        with SqliteUtilityStore(str(tmp_path / "mine.sqlite")) as handle:
+            assert resolve_store(handle) == (handle, False)
+        for path in (tmp_path / "owned.sqlite", str(tmp_path / "owned.sqlite")):
+            store, owned = resolve_store(path)
+            assert isinstance(store, SqliteUtilityStore)
+            assert owned is True
+            store.close()
