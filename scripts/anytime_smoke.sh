@@ -4,8 +4,10 @@
 # 1. a full-budget IPSS run on the paper's n=10 / γ=32 grid, store-backed;
 # 2. the same cell with `--stop-on rank:1` must stop with STRICTLY fewer
 #    oracle evaluations while reproducing the full-budget ranking exactly;
-# 3. a run interrupted mid-valuation must resume from its estimator
-#    checkpoint (`repro resume`), perform ZERO extra FL trainings against the
+# 3. a run interrupted inside IPSS's phase 2 (chunk 3: chunks 1-2 are the
+#    exhaustive strata) must leave a `state_format` 2 checkpoint carrying
+#    the sample's draw state (`partial_draw`), then resume from it in a fresh
+#    process (`repro resume`), perform ZERO extra FL trainings against the
 #    warm store, and land on bitwise-identical values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,11 +56,11 @@ print(
 )
 EOF
 
-# Interrupt a fresh run of the same cell mid-valuation (the warm store means
+# Interrupt a fresh run of the same cell inside phase 2 (the warm store means
 # the partial run itself trains nothing), then finish it with `repro resume`.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$SMOKE_DIR" <<'EOF'
-import sys
-from repro.experiments.pipeline import ExperimentPlan, run_plan
+import json, os, sys
+from repro.experiments.pipeline import CHECKPOINTS_DIR, ExperimentPlan, run_plan
 from repro.experiments.specs import TaskSpec
 from repro.store import open_store
 
@@ -70,7 +72,7 @@ spec = TaskSpec(
 plan = ExperimentPlan(tasks=(spec,), algorithms=("IPSS",))
 
 def interrupt(spec, algorithm, snapshot):
-    if snapshot.chunk_index == 2:
+    if snapshot.chunk_index == 3:
         raise KeyboardInterrupt
 
 with open_store(f"{smoke_dir}/store.sqlite") as store:
@@ -80,7 +82,18 @@ with open_store(f"{smoke_dir}/store.sqlite") as store:
         pass
     else:
         raise AssertionError("the interrupted run was expected to stop mid-cell")
-print("anytime smoke: run interrupted mid-valuation, checkpoint on disk")
+checkpoints = os.path.join(smoke_dir, "resume", CHECKPOINTS_DIR)
+(name,) = os.listdir(checkpoints)
+state = json.load(open(os.path.join(checkpoints, name)))
+payload = state["payload"]
+assert state["state_format"] == 2, state["state_format"]
+assert payload["partial_draw"] is not None and "partial" not in payload, payload
+assert 0 < payload["partial_evaluated"] < payload["partial_count"], payload
+print(
+    "anytime smoke: run interrupted in phase 2 "
+    f"({payload['partial_evaluated']} of {payload['partial_count']} sampled), "
+    "format-2 checkpoint with the draw state on disk"
+)
 EOF
 
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $CLI resume \

@@ -21,7 +21,9 @@ The serialisation here is deliberately lossless: floats round-trip through
 ``repr`` (Python's ``json`` guarantees shortest-round-trip encoding), numpy
 arrays carry their dtype, and insertion order of coalition→utility tables is
 preserved — the order is load-bearing, because the final reduction folds
-floats in table order.
+floats in table order.  Coalition tables and coalition lists are written as
+flat int arrays (``state_format`` 2); format-1 checkpoints, which wrote one
+tagged object per coalition, still load.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ import numpy as np
 
 from repro.core.result import ValuationResult
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
+#: every ``state_format`` :meth:`EstimatorState.from_dict` reads
+READABLE_STATE_FORMATS = (1, 2)
 
 #: two-sided normal quantiles for the common confidence levels; pinned, since
 #: ``NormalDist`` differs from them in the last bits, which would move CI
@@ -86,6 +90,27 @@ def restore_rng(state: dict) -> np.random.Generator:
 # --------------------------------------------------------------------------- #
 # Payload (de)serialisation
 # --------------------------------------------------------------------------- #
+def _coalition_columns(coalitions) -> dict:
+    """Flat-array record of a coalition sequence: ``n`` holds each
+    coalition's member count, ``m`` all members, sorted per coalition."""
+    sizes = []
+    members = []
+    for coalition in coalitions:
+        sizes.append(len(coalition))
+        members.extend(sorted(map(int, coalition)))
+    return {"__t": "fsarr", "n": sizes, "m": members}
+
+
+def _coalitions_from_columns(record) -> list:
+    coalitions = []
+    members = record["m"]
+    start = 0
+    for size in record["n"]:
+        coalitions.append(frozenset(members[start : start + size]))
+        start += size
+    return coalitions
+
+
 def encode_state_value(value):
     """Encode a payload value into JSON-safe, type-tagged form.
 
@@ -93,6 +118,11 @@ def encode_state_value(value):
     (dtype-tagged), frozenset coalitions, coalition-keyed and int-keyed dicts
     (order preserved — it is load-bearing for bitwise-reproducible folds),
     plus plain scalars/lists/str-keyed dicts.
+
+    A coalition-keyed dict becomes one ``fsarr`` record — member counts,
+    flattened sorted members and the values in insertion order — and a list
+    or tuple of coalitions the same record without values, so a table of
+    thousands of coalitions encodes as three flat arrays.
 
     Branches run in order of how often large payloads hit them: plain
     floats/ints/strs and lists by exact type (``bool`` and numpy scalars are
@@ -102,7 +132,9 @@ def encode_state_value(value):
     kind = type(value)
     if kind is float or kind is int or kind is str or value is None:
         return value
-    if kind is list:
+    if kind is list or kind is tuple:
+        if value and all(isinstance(inner, frozenset) for inner in value):
+            return _coalition_columns(value)
         return [encode_state_value(inner) for inner in value]
     if isinstance(value, frozenset):
         return {"__t": "fs", "v": sorted(map(int, value))}
@@ -110,13 +142,12 @@ def encode_state_value(value):
         return {"__t": "nd", "dtype": str(value.dtype), "v": value.tolist()}
     if isinstance(value, dict):
         if value and all(isinstance(key, frozenset) for key in value):
-            return {
-                "__t": "fsmap",
-                "v": [
-                    [sorted(map(int, key)), encode_state_value(inner)]
-                    for key, inner in value.items()
-                ],
-            }
+            record = _coalition_columns(value)
+            inner = list(value.values())
+            if not all(type(item) is float for item in inner):
+                inner = [encode_state_value(item) for item in inner]
+            record["v"] = inner
+            return record
         if all(isinstance(key, str) for key in value):
             return {key: encode_state_value(inner) for key, inner in value.items()}
         if all(isinstance(key, (int, np.integer)) for key in value):
@@ -137,9 +168,18 @@ def encode_state_value(value):
 
 
 def decode_state_value(value):
-    """Inverse of :func:`encode_state_value`."""
+    """Inverse of :func:`encode_state_value`; also reads format-1 ``fs`` /
+    ``fsmap`` records."""
     if isinstance(value, dict):
         tag = value.get("__t")
+        if tag == "fsarr":
+            coalitions = _coalitions_from_columns(value)
+            if "v" not in value:
+                return coalitions
+            return {
+                coalition: decode_state_value(inner)
+                for coalition, inner in zip(coalitions, value["v"])
+            }
         if tag == "nd":
             return np.asarray(value["v"], dtype=np.dtype(value["dtype"]))
         if tag == "fs":
@@ -210,10 +250,10 @@ class EstimatorState:
     @classmethod
     def from_dict(cls, payload: dict) -> "EstimatorState":
         fmt = payload.get("state_format")
-        if fmt != STATE_FORMAT_VERSION:
+        if fmt not in READABLE_STATE_FORMATS:
             raise ValueError(
                 f"unsupported estimator-state format {fmt!r} "
-                f"(this build reads format {STATE_FORMAT_VERSION})"
+                f"(this build reads formats {', '.join(map(str, READABLE_STATE_FORMATS))})"
             )
 
         def _array(value):

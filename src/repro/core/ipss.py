@@ -27,9 +27,11 @@ strata and save their FL trainings.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from repro.core.anytime import StepResult
+from repro.core.anytime import StepResult, capture_rng_state, restore_rng
 from repro.core.base import UtilityFunction, ValuationAlgorithm
 from repro.core.exact import mc_accumulate_stratum
 from repro.core.plans import DEFAULT_PLAN_BATCH
@@ -64,6 +66,9 @@ class IPSS(ValuationAlgorithm):
         stratum often dominates the budget — on the paper's n=10/γ=32 grid it
         is 21 of 32 evaluations — so this is where convergence-based early
         stop actually saves trainings.  ``None`` evaluates it in one chunk.
+        Checkpoints persist the generator state the sample was drawn from
+        (``partial_draw``), not the sample: a resume in a fresh process
+        redraws it from that state.
     """
 
     incremental = True
@@ -88,6 +93,8 @@ class IPSS(ValuationAlgorithm):
         self.name = "IPSS"
         self._last_k_star: int | None = None
         self._last_partial_count: int = 0
+        # (memo key, phase-2 sample, its planned per-client appearance counts)
+        self._sample_memo: tuple | None = None
 
     # ------------------------------------------------------------------ #
     def k_star(self, n_clients: int) -> int:
@@ -113,7 +120,7 @@ class IPSS(ValuationAlgorithm):
             "utilities": {},
             "next_size": 0,
             "k_star": k_star,
-            "partial": None,
+            "partial_draw": None,
             "partial_evaluated": 0,
             "partial_count": 0,
             "values": np.zeros(n_clients),
@@ -159,14 +166,7 @@ class IPSS(ValuationAlgorithm):
         # sample is drawn in one RNG consumption (chunk boundaries must not
         # move the stream), then evaluated slice by slice; each slice is one
         # ``_batch_utilities`` plan and one snapshot.
-        if payload["partial"] is None:
-            leftover = self.total_rounds - count_coalitions_up_to(n_clients, k_star)
-            payload["partial"] = balanced_coalitions_of_size(
-                n_clients, k_star + 1, leftover, rng
-            )
-            payload["partial_evaluated"] = 0
-            payload["partial_count"] = len(payload["partial"])
-        partial = payload["partial"]
+        partial, planned = self._phase_two_sample(n_clients, k_star, rng, payload)
         self._last_partial_count = len(partial)
         cursor = int(payload["partial_evaluated"])
         if self.partial_chunk_size is None:
@@ -219,16 +219,60 @@ class IPSS(ValuationAlgorithm):
         return StepResult(
             values=values,
             stderr=self._remaining_uncertainty(
-                n_clients, partial, weight, contrib_sum, contrib_sumsq, contrib_count
+                n_clients, planned, weight, contrib_sum, contrib_sumsq, contrib_count
             ),
             n_samples=counts,
             done=cursor >= len(partial),
         )
 
+    def _phase_two_sample(
+        self, n_clients: int, k_star: int, rng: np.random.Generator, payload: dict
+    ) -> tuple:
+        """The phase-2 sample and its planned per-client appearance counts.
+
+        On the first phase-2 chunk the generator state is captured into
+        ``payload["partial_draw"]`` immediately before the draw, so the main
+        stream advances exactly as if the sample itself were persisted.  Later
+        chunks reuse the in-memory sample; a resume without it (a fresh
+        process or a fresh instance) redraws it from ``partial_draw``.
+        Format-1 payloads that carry the sample itself (``partial``) use it
+        as it is.
+        """
+        legacy = payload.get("partial")
+        if legacy is not None:
+            return legacy, client_appearance_counts(legacy, n_clients).astype(float)
+        payload.pop("partial", None)
+        fresh = payload.get("partial_draw") is None
+        if fresh:
+            payload["partial_draw"] = capture_rng_state(rng)
+            payload["partial_evaluated"] = 0
+        leftover = self.total_rounds - count_coalitions_up_to(n_clients, k_star)
+        # Phase 1 draws nothing, so under one seed the draw state is the same
+        # for every n: the key carries the plan's shape as well.
+        key = (
+            n_clients,
+            k_star + 1,
+            leftover,
+            json.dumps(payload["partial_draw"], sort_keys=True),
+        )
+        memo = self._sample_memo
+        if not fresh and memo is not None and memo[0] == key:
+            return memo[1], memo[2]
+        sample = balanced_coalitions_of_size(
+            n_clients,
+            k_star + 1,
+            leftover,
+            rng if fresh else restore_rng(payload["partial_draw"]),
+        )
+        planned = client_appearance_counts(sample, n_clients).astype(float)
+        payload["partial_count"] = len(sample)
+        self._sample_memo = (key, sample, planned)
+        return sample, planned
+
     @staticmethod
     def _remaining_uncertainty(
         n_clients: int,
-        partial: list,
+        planned: np.ndarray,
         weight: float,
         contrib_sum: np.ndarray,
         contrib_sumsq: np.ndarray,
@@ -248,8 +292,8 @@ class IPSS(ValuationAlgorithm):
         the stderr policy of the sampling estimators, so
         ``ConvergenceRule(metric="ci")`` can stop IPSS early once every
         client's residual is small, and never stops on ignorance.
+        ``planned`` holds each client's appearance count in the sample.
         """
-        planned = client_appearance_counts(partial, n_clients).astype(float)
         remaining = planned - contrib_count
         stderr = np.zeros(n_clients)
         for client in range(n_clients):

@@ -94,13 +94,20 @@ def make_mnist_like(
     templates = _digit_templates(image_size, n_classes, template_rng)
 
     targets = rng.integers(0, n_classes, size=n_samples)
+    # Per image the stream yields the row shift, the column shift, then the
+    # pixel noise; the noise lands in ``images`` and the shifted templates are
+    # gathered afterwards in one fancy-index.
+    shifts = np.zeros((n_samples, 2), dtype=np.intp)
     images = np.empty((n_samples, image_size, image_size))
-    for idx, cls in enumerate(targets):
-        image = templates[cls].copy()
+    for idx in range(n_samples):
         if max_shift > 0:
-            shift_r = int(rng.integers(-max_shift, max_shift + 1))
-            shift_c = int(rng.integers(-max_shift, max_shift + 1))
-            image = np.roll(image, shift=(shift_r, shift_c), axis=(0, 1))
-        image = image + rng.normal(0.0, pixel_noise, size=image.shape)
-        images[idx] = image
+            shifts[idx, 0] = rng.integers(-max_shift, max_shift + 1)
+            shifts[idx, 1] = rng.integers(-max_shift, max_shift + 1)
+        images[idx] = rng.normal(0.0, pixel_noise, size=(image_size, image_size))
+    # np.roll by (r, c) puts pixel ((i - r) mod size, (j - c) mod size) at (i, j).
+    grid = np.arange(image_size)
+    rows = (grid[None, :] - shifts[:, :1]) % image_size
+    cols = (grid[None, :] - shifts[:, 1:]) % image_size
+    shifted = templates[targets[:, None, None], rows[:, :, None], cols[:, None, :]]
+    np.add(shifted, images, out=images)  # template + noise, as one image at a time
     return Dataset(images, targets, num_classes=n_classes, name=name)

@@ -87,13 +87,17 @@ class JobSpec:
         Estimator-state persistence cadence in chunks (0 disables — the job
         then cannot be gracefully preempted or crash-recovered mid-run).
     backend:
-        Executor backend for coalition evaluation inside this job (any
-        :data:`~repro.parallel.executors.EXECUTOR_BACKENDS` name, including
-        ``"fleet"``).
+        Executor backend for coalition evaluation inside this job:
+        ``"serial"`` or ``"vectorized"``.  The spec validates like an
+        :class:`~repro.experiments.pipeline.ExperimentPlan`, so ``"fleet"``
+        parses, but :meth:`ValuationService.submit
+        <repro.service.scheduler.ValuationService.submit>` rejects it (see
+        :func:`check_service_backend`).
     queue_dir / spawn_workers / worker_backend / lease_seconds:
         Fleet-backend execution coordinates, same semantics as
         :class:`~repro.experiments.pipeline.ExperimentPlan`; rejected unless
-        ``backend`` is ``"fleet"``.
+        ``backend`` is ``"fleet"``.  They let job rows stored by older
+        versions, which accepted fleet jobs, load and fail with a named cause.
     """
 
     task: Dict[str, Any]
@@ -207,6 +211,25 @@ class JobSpec:
             worker_backend=payload.get("worker_backend"),
             lease_seconds=float(payload.get("lease_seconds", 30.0)),
         )
+
+
+#: why a service job cannot use the fleet backend
+FLEET_JOB_UNSUPPORTED = (
+    "backend 'fleet' cannot run service jobs: the service wraps each job's "
+    "store in a RecordingStore for its trainings ledger, and fleet workers "
+    "can only open a SQLite store file; run fleet valuations with "
+    "`repro run --backend fleet --queue-dir DIR --store PATH`"
+)
+
+
+def check_service_backend(spec: JobSpec) -> None:
+    """Raise ``ValueError`` if the service cannot run ``spec``'s backend.
+
+    Checked at submit and again when a job starts, so a queued fleet row
+    stored by an older version ends ``failed`` with the same message.
+    """
+    if spec.backend == "fleet":
+        raise ValueError(FLEET_JOB_UNSUPPORTED)
 
 
 @dataclass

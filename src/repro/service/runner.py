@@ -43,7 +43,7 @@ from repro.experiments.pipeline import (
     execute_cell,
 )
 from repro.service.ledger import RecordingStore
-from repro.service.models import JobRecord
+from repro.service.models import JobRecord, check_service_backend
 from repro.store.base import UtilityStore
 from repro.utils.jsonio import write_json_atomic
 
@@ -95,6 +95,7 @@ def run_job(
     job store's ledger hook.
     """
     spec = record.spec
+    check_service_backend(spec)  # a fleet row stored by an older version
     task_spec = spec.task_spec()
     job_id = record.job_id
     ckpt = checkpoint_path(state_dir, job_id)

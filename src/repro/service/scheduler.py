@@ -10,8 +10,8 @@
         results/            <job>.json       — terminal result payloads
         telemetry/          journal.jsonl    — spans + metrics (Telemetry)
 
-N scheduler workers (plain threads — jobs themselves fan out through their
-own executor backends, including ``fleet``) claim jobs from the store and
+N scheduler workers (plain threads — jobs evaluate coalitions on their own
+in-process executor backend) claim jobs from the store and
 drive them through :func:`repro.service.runner.run_job`.  Priorities preempt:
 a submit that finds every worker busy and a strictly lower-priority job
 running flags that job, whose runner checkpoints at its next chunk boundary
@@ -28,7 +28,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.jobs import JobStore
-from repro.service.models import JobRecord, JobSpec
+from repro.service.models import JobRecord, JobSpec, check_service_backend
 from repro.service.runner import JobOutcome, run_job
 from repro.service.stream import EventWriter
 from repro.store import open_store
@@ -151,7 +151,11 @@ class ValuationService:
     # Client surface (what the HTTP handlers call)
     # ------------------------------------------------------------------ #
     def submit(self, spec: JobSpec) -> JobRecord:
-        """Durably enqueue a job; may flag a lower-priority one for preemption."""
+        """Durably enqueue a job; may flag a lower-priority one for preemption.
+
+        Raises ``ValueError`` for a backend the service cannot run (fleet).
+        """
+        check_service_backend(spec)
         record = self.jobs.submit(spec)
         self.telemetry.count(SERVICE_JOBS_SUBMITTED)
         self._emit_for(

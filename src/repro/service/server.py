@@ -107,7 +107,11 @@ class _Handler(BaseHTTPRequestHandler):
             # propagates to the 500 handler.
             self._send_json(400, {"error": str(error)})
             return
-        record = service.submit(spec)
+        try:
+            record = service.submit(spec)
+        except ValueError as error:  # a backend the service cannot run
+            self._send_json(400, {"error": str(error)})
+            return
         self._send_json(201, record.to_dict())
 
     def do_DELETE(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API

@@ -1,10 +1,11 @@
-"""Estimator-state codec and the atomic JSON writer.
+"""Estimator-state codec, IPSS checkpoints and the atomic JSON writer.
 
-``encode_state_value`` checks plain scalars and lists by exact type and
-coalitions before its other branches.  The properties here pin it to a
-frozen copy of the earlier encoder over generated payloads: same encoded
-structure, same JSON text, and a lossless round-trip through
-:func:`decode_state_value`.
+``state_format`` 2 writes coalition tables and coalition lists as flat int
+arrays, and IPSS persists the generator state its phase-2 sample is drawn
+from instead of the sample.  The properties here check that format 2
+round-trips losslessly over generated payloads, that format-1 text (written
+by a frozen copy of the format-1 encoder) still decodes to the same
+payload, and that IPSS resumes bitwise from either format.
 """
 
 import json
@@ -18,12 +19,20 @@ from hypothesis import strategies as st
 
 from helpers import monotone_game
 from repro.core import IPSS
-from repro.core.anytime import decode_state_value, encode_state_value
+from repro.core.anytime import (
+    STATE_FORMAT_VERSION,
+    EstimatorState,
+    decode_state_value,
+    encode_state_value,
+    restore_rng,
+)
+from repro.experiments.pipeline import execute_cell
+from repro.utils.combinatorics import balanced_coalitions_of_size
 from repro.utils.jsonio import write_json_atomic
 
 
 def _reference_encode(value):
-    """``encode_state_value`` as it was before its branches were reordered."""
+    """The format-1 encoder: one tagged object per coalition."""
     if isinstance(value, np.ndarray):
         return {"__t": "nd", "dtype": str(value.dtype), "v": value.tolist()}
     if isinstance(value, frozenset):
@@ -150,16 +159,49 @@ _payloads = st.recursive(
 )
 
 
+def _tags(value):
+    """Every ``__t`` tag in an encoded value."""
+    if isinstance(value, dict):
+        found = {value["__t"]} if "__t" in value else set()
+        for inner in value.values():
+            found |= _tags(inner)
+        return found
+    if isinstance(value, list):
+        return set().union(*map(_tags, value)) if value else set()
+    return set()
+
+
 @settings(max_examples=300, deadline=None)
 @given(_payloads)
-def test_encoder_matches_the_reference_encoder(payload):
-    encoded = encode_state_value(payload)
-    reference = _reference_encode(payload)
-    assert _identical(encoded, reference)
-    assert _dumps(encoded) == _dumps(reference)
+def test_format_one_text_decodes_to_the_same_payload(payload):
+    text = _dumps(_reference_encode(payload))
+    assert _identical(decode_state_value(json.loads(text)), _decoded_form(payload))
 
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_format_two_round_trips_losslessly(payload):
+    encoded = encode_state_value(payload)
+    assert "fsmap" not in _tags(encoded)
     decoded = decode_state_value(json.loads(_dumps(encoded)))
     assert _identical(decoded, _decoded_form(payload))
+
+
+def test_coalition_tables_encode_as_flat_arrays():
+    table = {frozenset({3, 1}): 0.5, frozenset(): 0.25, frozenset({2}): np.float64(1.0)}
+    assert encode_state_value(table) == {
+        "__t": "fsarr",
+        "n": [2, 0, 1],
+        "m": [1, 3, 2],
+        "v": [0.5, 0.25, 1.0],
+    }
+    assert encode_state_value([frozenset({4, 0}), frozenset({1})]) == {
+        "__t": "fsarr",
+        "n": [2, 1],
+        "m": [0, 4, 1],
+    }
+    nested = {frozenset({0}): [1.0, 2.0]}
+    assert decode_state_value(json.loads(_dumps(encode_state_value(nested)))) == nested
 
 
 def test_mixed_key_dict_is_rejected():
@@ -167,18 +209,108 @@ def test_mixed_key_dict_is_rejected():
         encode_state_value({frozenset({1}): 0.5, "x": 1.0})
 
 
-def test_live_ipss_state_encodes_as_before():
-    # A real mid-run payload: coalition->utility table in evaluation order,
-    # the phase-2 sample, running value/count arrays.
-    game = monotone_game(12, seed=3)
-    algorithm = IPSS(total_rounds=60, seed=0)
-    for snapshot in algorithm.iter_run(game, 12):
-        if snapshot.state is not None and not snapshot.done:
-            encoded = snapshot.state.to_dict()
-            payload = snapshot.state.payload
-            assert _dumps(encoded["payload"]) == _dumps(_reference_encode(payload))
-            decoded = decode_state_value(json.loads(_dumps(encoded["payload"])))
-            assert list(decoded["utilities"]) == list(payload["utilities"])
+def _phase_two_states(n_clients, total_rounds, seed=0):
+    """(game, every mid-run phase-2 state as checkpoint JSON, final values)."""
+    game = monotone_game(n_clients, seed=3)
+    states = []
+    for snapshot in IPSS(total_rounds=total_rounds, seed=seed).iter_run(game, n_clients):
+        if snapshot.done:
+            final = snapshot.values
+        elif snapshot.state.payload["partial_draw"] is not None:
+            states.append(_dumps(snapshot.state.to_dict()))
+    return game, states, final
+
+
+def _format_one(state_text, n_clients):
+    """Rewrite a phase-2 checkpoint the way format 1 wrote it: the sample
+    itself in ``partial``, one tagged object per coalition."""
+    state = json.loads(state_text)
+    payload = decode_state_value(state["payload"])
+    k_star = payload["k_star"]
+    draw = payload.pop("partial_draw")
+    payload["partial"] = balanced_coalitions_of_size(
+        n_clients, k_star + 1, payload["partial_count"], restore_rng(draw)
+    )
+    state["state_format"] = 1
+    state["payload"] = _reference_encode(payload)
+    return state
+
+
+def test_live_ipss_phase_two_checkpoint_holds_the_draw_state():
+    _game, states, _final = _phase_two_states(12, 60)
+    assert states
+    for text in states:
+        state = json.loads(text)
+        assert state["state_format"] == STATE_FORMAT_VERSION == 2
+        payload = state["payload"]
+        assert "partial" not in payload
+        assert payload["partial_draw"]["bit_generator"] == "PCG64"
+        assert 0 < payload["partial_evaluated"] <= payload["partial_count"]
+        # The only coalitions on disk are the evaluated ones: phase 1's
+        # 13 plus the evaluated part of the sample.
+        utilities = payload["utilities"]
+        assert utilities["__t"] == "fsarr"
+        assert len(utilities["n"]) == 13 + payload["partial_evaluated"]
+        assert _tags(payload) == {"fsarr", "nd"}
+
+
+def test_format_one_ipss_checkpoint_resumes_bitwise_through_execute_cell(tmp_path):
+    game, states, final = _phase_two_states(12, 60)
+    text = states[len(states) // 2]
+    legacy = _format_one(text, 12)
+    assert 0 < legacy["payload"]["partial_evaluated"] < legacy["payload"]["partial_count"]
+    path = str(tmp_path / "cell.state.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(legacy, handle, indent=2, sort_keys=True)
+    messages = []
+    result, continued = execute_cell(
+        IPSS(total_rounds=60, seed=0), game, path, "cell", messages.append
+    )
+    assert continued, messages
+    assert np.array_equal(result.values, final)
+    # The checkpoints it wrote on the way are format 2 and still carry the
+    # format-1 sample: a payload that holds ``partial`` keeps it.
+    rewritten = json.loads(open(path, encoding="utf-8").read())
+    assert rewritten["state_format"] == 2
+    assert rewritten["payload"]["partial"]["__t"] == "fsarr"
+
+
+@pytest.mark.parametrize("n_clients, total_rounds", [(9, 40), (12, 60), (16, 150), (20, 400)])
+def test_resume_from_every_chunk_with_a_fresh_instance_is_bitwise(n_clients, total_rounds):
+    game = monotone_game(n_clients, seed=3)
+    texts = []
+    final = None
+    for snapshot in IPSS(total_rounds=total_rounds, seed=0).iter_run(game, n_clients):
+        if snapshot.done:
+            final = snapshot.values
+        else:
+            texts.append(_dumps(snapshot.state.to_dict()))
+    assert any('"partial_draw":{' in text for text in texts)
+    for text in texts:
+        state = EstimatorState.from_dict(json.loads(text))
+        resumed = IPSS(total_rounds=total_rounds, seed=0).run(
+            game, n_clients, state=state
+        )
+        assert np.array_equal(resumed.values, final)
+
+
+@pytest.mark.parametrize("total_rounds", [10, 60])
+def test_one_instance_across_federation_sizes_equals_fresh_instances(total_rounds):
+    # Phase 1 draws nothing, so the draw state is the seed's initial state
+    # for every n; at γ=10 both sizes also sample 9 singletons.  A sample
+    # remembered for n=12 must not serve n=16.
+    runs = {n_clients: _phase_two_states(n_clients, total_rounds) for n_clients in (12, 16)}
+    assert all(texts for _game, texts, _final in runs.values())
+
+    shared = IPSS(total_rounds=total_rounds, seed=0)
+    for n_clients, other in ((12, 16), (16, 12)):
+        game, _texts, final = runs[n_clients]
+        assert np.array_equal(shared.run(game, n_clients).values, final)
+        # resume the other size on the instance that just drew for this one
+        game, texts, final = runs[other]
+        for text in texts:
+            state = EstimatorState.from_dict(json.loads(text))
+            assert np.array_equal(shared.run(game, other, state=state).values, final)
 
 
 class TestWriteJsonAtomic:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import (
     make_adult_like,
@@ -13,6 +15,28 @@ from repro.datasets import (
 )
 from repro.models import LogisticRegressionModel
 from repro.datasets.base import Dataset
+from repro.datasets.mnist_like import TEMPLATE_SEED, _digit_templates
+from repro.utils.rng import RandomState
+
+
+def _mnist_like_rolled(n_samples, image_size, n_classes, pixel_noise, max_shift, seed):
+    """``make_mnist_like`` as it was written before its one-gather shift:
+    one ``np.roll`` per image."""
+    rng = RandomState(seed)
+    templates = _digit_templates(
+        image_size, n_classes, np.random.default_rng(TEMPLATE_SEED)
+    )
+    targets = rng.integers(0, n_classes, size=n_samples)
+    images = np.empty((n_samples, image_size, image_size))
+    for idx, cls in enumerate(targets):
+        image = templates[cls].copy()
+        if max_shift > 0:
+            shift_r = int(rng.integers(-max_shift, max_shift + 1))
+            shift_c = int(rng.integers(-max_shift, max_shift + 1))
+            image = np.roll(image, shift=(shift_r, shift_c), axis=(0, 1))
+        image = image + rng.normal(0.0, pixel_noise, size=image.shape)
+        images[idx] = image
+    return images, targets
 
 
 class TestLinearRegression:
@@ -83,6 +107,34 @@ class TestMnistLike:
         model.fit(dataset, seed=0)
         # Training accuracy well above chance (10%) shows class structure exists.
         assert model.evaluate(dataset) > 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(1, 40),
+        image_size=st.integers(1, 10),
+        n_classes=st.integers(1, 10),
+        max_shift=st.integers(0, 12),
+        pixel_noise=st.sampled_from([0.0, 0.25, 1.5]),
+    )
+    def test_gathered_shifts_match_per_image_rolls_bitwise(
+        self, seed, n_samples, image_size, n_classes, max_shift, pixel_noise
+    ):
+        dataset = make_mnist_like(
+            n_samples,
+            image_size=image_size,
+            n_classes=n_classes,
+            pixel_noise=pixel_noise,
+            max_shift=max_shift,
+            seed=seed,
+        )
+        images, targets = _mnist_like_rolled(
+            n_samples, image_size, n_classes, pixel_noise, max_shift, seed
+        )
+        assert dataset.features.dtype == images.dtype
+        assert dataset.features.tobytes() == images.tobytes()
+        assert np.array_equal(dataset.targets, targets)
+        assert dataset.targets.dtype == targets.dtype
 
     def test_different_seeds_share_task_structure(self):
         a = make_mnist_like(100, seed=1)

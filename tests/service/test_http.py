@@ -94,6 +94,24 @@ class TestJobEndpoints:
         assert excinfo.value.status == 400
         assert "worker_backend" in str(excinfo.value)
 
+    def test_fleet_backend_submit_is_a_400_naming_the_cause(
+        self, service_client, tmp_path
+    ):
+        _service, client = service_client
+        spec = {
+            "task": make_task(),
+            "algorithm": "IPSS",
+            "backend": "fleet",
+            "queue_dir": str(tmp_path / "queue"),
+            "spawn_workers": 1,
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert "RecordingStore" in str(excinfo.value)
+        assert "repro run --backend fleet" in str(excinfo.value)
+        assert client.jobs() == []
+
     def test_fleet_field_without_fleet_backend_is_a_400(self, service_client):
         _service, client = service_client
         spec = {

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.service.jobs import JobStore
-from repro.service.models import JobSpec
+from repro.service.models import FLEET_JOB_UNSUPPORTED, JobSpec
 from repro.service.runner import checkpoint_path
 from repro.service.scheduler import ValuationService
 from repro.service.stream import read_events
@@ -66,28 +66,40 @@ class TestHappyPath:
         finally:
             service.stop()
 
-    def test_a_failing_job_fails_alone(self, tmp_path):
+    def test_submit_rejects_the_fleet_backend(self, tmp_path):
         service = start_service(tmp_path)
         try:
-            # A queue_dir that is a regular file makes the fleet backend
-            # blow up deterministically when the job starts.
-            not_a_dir = tmp_path / "not-a-dir"
-            not_a_dir.write_text("")
-            bad = JobSpec(
-                task=make_spec(n_clients=4).task,
-                algorithm="MC-Shapley",
-                backend="fleet",
-                queue_dir=str(not_a_dir),
-                spawn_workers=0,
-                lease_seconds=0.2,
+            spec = make_spec(
+                n_clients=4, backend="fleet", queue_dir=str(tmp_path / "queue")
             )
-            record = service.submit(bad)
+            with pytest.raises(ValueError, match="repro run --backend fleet"):
+                service.submit(spec)
+            assert service.list_jobs() == []
+        finally:
+            service.stop()
+
+    def test_a_failing_job_fails_alone(self, tmp_path):
+        # Older versions accepted fleet jobs; such a queued row must neither
+        # stop the service from starting nor take the next job down with it.
+        bad = make_spec(
+            n_clients=4,
+            algorithm="MC-Shapley",
+            backend="fleet",
+            queue_dir=str(tmp_path / "queue"),
+            spawn_workers=1,
+        )
+        with JobStore(str(tmp_path / "state")) as jobs:
+            stored = jobs.submit(bad)
+        service = start_service(tmp_path)
+        try:
             good = service.submit(make_spec(n_clients=4, seed=1))
             final_good = wait_terminal(service, good.job_id)
-            final_bad = wait_terminal(service, record.job_id, timeout=90.0)
+            final_bad = wait_terminal(service, stored.job_id, timeout=90.0)
             assert final_good.status == "done"
             assert final_bad.status == "failed"
-            assert final_bad.error
+            assert final_bad.error == f"ValueError: {FLEET_JOB_UNSUPPORTED}"
+            assert final_bad.fl_trainings == 0
+            assert not os.path.exists(tmp_path / "queue")
         finally:
             service.stop()
 
