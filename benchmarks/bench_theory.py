@@ -55,7 +55,7 @@ def _theorem3_check():
                 "k_star": k_star,
                 "empirical_relative_error": empirical,
                 "theorem3_bound": bound,
-                "within_bound": empirical <= bound + 0.05,
+                "within_bound": empirical <= bound,
             }
         )
     return rows

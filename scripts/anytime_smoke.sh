@@ -4,11 +4,15 @@
 # 1. a full-budget IPSS run on the paper's n=10 / γ=32 grid, store-backed;
 # 2. the same cell with `--stop-on rank:1` must stop with STRICTLY fewer
 #    oracle evaluations while reproducing the full-budget ranking exactly;
-# 3. a run interrupted inside IPSS's phase 2 (chunk 3: chunks 1-2 are the
-#    exhaustive strata) must leave a `state_format` 2 checkpoint carrying
-#    the sample's draw state (`partial_draw`), then resume from it in a fresh
-#    process (`repro resume`), perform ZERO extra FL trainings against the
-#    warm store, and land on bitwise-identical values.
+# 3. cold: a run on its own fresh store, interrupted inside IPSS's phase 2
+#    (chunk 3: chunks 1-2 are the exhaustive strata), must leave a
+#    `state_format` 2 checkpoint carrying the sample's draw state
+#    (`partial_draw`); resumed in a fresh process (`repro resume`) it must
+#    continue inside the cell, pay exactly the trainings the interrupted run
+#    left unpaid, and land on bitwise-identical values;
+# 4. warm: the same interrupt against the filled store trains nothing, so it
+#    must leave NO checkpoint; its resume must perform ZERO FL trainings and
+#    land on bitwise-identical values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,8 +60,9 @@ print(
 )
 EOF
 
-# Interrupt a fresh run of the same cell inside phase 2 (the warm store means
-# the partial run itself trains nothing), then finish it with `repro resume`.
+# Interrupt the same cell inside phase 2 twice, then finish each run with
+# `repro resume`: "cold" on a fresh store of its own, "warm" against the
+# store the full run filled.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - "$SMOKE_DIR" <<'EOF'
 import json, os, sys
 from repro.experiments.pipeline import CHECKPOINTS_DIR, ExperimentPlan, run_plan
@@ -75,52 +80,81 @@ def interrupt(spec, algorithm, snapshot):
     if snapshot.chunk_index == 3:
         raise KeyboardInterrupt
 
-with open_store(f"{smoke_dir}/store.sqlite") as store:
-    try:
-        run_plan(plan, f"{smoke_dir}/resume", store=store, on_snapshot=interrupt)
-    except KeyboardInterrupt:
-        pass
-    else:
-        raise AssertionError("the interrupted run was expected to stop mid-cell")
-checkpoints = os.path.join(smoke_dir, "resume", CHECKPOINTS_DIR)
-(name,) = os.listdir(checkpoints)
-state = json.load(open(os.path.join(checkpoints, name)))
+def interrupted_run(run, store_path):
+    with open_store(store_path) as store:
+        try:
+            run_plan(plan, f"{smoke_dir}/{run}", store=store, on_snapshot=interrupt)
+        except KeyboardInterrupt:
+            pass
+        else:
+            raise AssertionError("the interrupted run was expected to stop mid-cell")
+    checkpoints = os.path.join(smoke_dir, run, CHECKPOINTS_DIR)
+    return sorted(os.listdir(checkpoints)) if os.path.isdir(checkpoints) else []
+
+(name,) = interrupted_run("cold", f"{smoke_dir}/store_cold.sqlite")
+state = json.load(open(os.path.join(smoke_dir, "cold", CHECKPOINTS_DIR, name)))
 payload = state["payload"]
 assert state["state_format"] == 2, state["state_format"]
 assert payload["partial_draw"] is not None and "partial" not in payload, payload
 assert 0 < payload["partial_evaluated"] < payload["partial_count"], payload
+assert state["evaluations"] > 0, state["evaluations"]
+with open(os.path.join(smoke_dir, "cold_paid.json"), "w") as handle:
+    json.dump({"trainings": state["evaluations"]}, handle)
 print(
-    "anytime smoke: run interrupted in phase 2 "
-    f"({payload['partial_evaluated']} of {payload['partial_count']} sampled), "
+    "anytime smoke: cold run interrupted in phase 2 "
+    f"({payload['partial_evaluated']} of {payload['partial_count']} sampled, "
+    f"{state['evaluations']} trainings paid), "
     "format-2 checkpoint with the draw state on disk"
 )
+
+leftover = interrupted_run("warm", f"{smoke_dir}/store.sqlite")
+assert leftover == [], f"a warm interrupt trained nothing but left {leftover}"
+print("anytime smoke: warm run interrupted in phase 2, no checkpoint written")
 EOF
 
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $CLI resume \
-    --run-dir "$SMOKE_DIR/resume" --store "$SMOKE_DIR/store.sqlite" --json \
-    > "$SMOKE_DIR/resumed.json"
+for run in cold warm; do
+    store="$SMOKE_DIR/store.sqlite"
+    if [ "$run" = cold ]; then store="$SMOKE_DIR/store_cold.sqlite"; fi
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $CLI resume \
+        --run-dir "$SMOKE_DIR/$run" --store "$store" --json \
+        > "$SMOKE_DIR/resumed_$run.json"
+done
 
 python - "$SMOKE_DIR" <<'EOF'
 import json, os, sys
 
 smoke_dir = sys.argv[1]
-resumed = json.load(open(os.path.join(smoke_dir, "resumed.json")))
-assert resumed["cells_continued"] == 1, (
-    f"resume should continue inside the interrupted cell: {resumed}"
-)
-assert resumed["fl_trainings"] == 0, (
-    f"resumed run retrained {resumed['fl_trainings']} coalitions; "
-    "the warm store should have served them all"
-)
+full = json.load(open(os.path.join(smoke_dir, "full.json")))
+cold = json.load(open(os.path.join(smoke_dir, "resumed_cold.json")))
+warm = json.load(open(os.path.join(smoke_dir, "resumed_warm.json")))
+paid = json.load(open(os.path.join(smoke_dir, "cold_paid.json")))["trainings"]
 
 def values(run):
     results = os.path.join(smoke_dir, run, "results")
     (name,) = os.listdir(results)
     return json.load(open(os.path.join(results, name)))["result"]["values"]
 
-assert values("resume") == values("full"), "resumed values diverged from full run"
+assert cold["cells_continued"] == 1, (
+    f"cold resume should continue inside the interrupted cell: {cold}"
+)
+assert paid + cold["fl_trainings"] == full["fl_trainings"], (
+    f"the cold run paid {paid} + {cold['fl_trainings']} trainings, "
+    f"the uninterrupted run {full['fl_trainings']}"
+)
+assert values("cold") == values("full"), "cold resumed values diverged from full run"
 print(
-    f"anytime smoke (resume) ok: continued mid-cell, 0 trainings "
-    f"(store_hits={resumed['store_hits']}), values bitwise-identical"
+    f"anytime smoke (cold resume) ok: continued mid-cell, {paid} + "
+    f"{cold['fl_trainings']} = {full['fl_trainings']} trainings, "
+    "values bitwise-identical"
+)
+
+assert warm["fl_trainings"] == 0, (
+    f"warm resume retrained {warm['fl_trainings']} coalitions; "
+    "the warm store should have served them all"
+)
+assert values("warm") == values("full"), "warm resumed values diverged from full run"
+print(
+    f"anytime smoke (warm resume) ok: 0 trainings "
+    f"(store_hits={warm['store_hits']}), values bitwise-identical"
 )
 EOF

@@ -16,8 +16,8 @@ Subcommands
     Finish an interrupted run from its manifest: only missing cells are
     computed; with the same store attached their coalitions come from disk.
     Cells interrupted mid-valuation continue from their estimator
-    checkpoints (``checkpoints/`` under the run dir), replaying at most the
-    in-flight chunk.
+    checkpoints (``checkpoints/`` under the run dir), repeating at most the
+    in-flight chunk's trainings.
 ``repro run/resume --stop-on --checkpoint-every --progress --json-stream``
     The anytime surface (see docs/anytime.md): early-stop rules per cell
     (``budget:64,ci:0.02,rank:2@top5,wallclock:30``), checkpoint cadence,
@@ -102,7 +102,7 @@ from repro.experiments.reporting import format_table
 from repro.experiments.specs import SYNTHETIC_SETUPS, TaskSpec, available_tasks
 from repro.experiments.tables import robustness_table
 from repro.fleet.coordinator import WORKER_BACKENDS
-from repro.parallel.executors import EXECUTOR_BACKENDS
+from repro.parallel.executors import EXECUTOR_BACKENDS, IN_PROCESS_BACKENDS
 from repro.scenarios import available_scenarios, get_scenario, run_robustness
 from repro.store import open_store
 from repro.telemetry import Telemetry, prometheus_text, read_journal
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--stop-on", metavar="SPEC")
     submit.add_argument("--checkpoint-every", type=int, default=1, metavar="N")
-    _add_backend_argument(submit, "--backend", "backend", EXECUTOR_BACKENDS)
+    # Service jobs run in the server's process; it refuses fleet jobs.
+    _add_backend_argument(submit, "--backend", "backend", IN_PROCESS_BACKENDS)
     submit.add_argument(
         "--wait", action="store_true", help="block until the job is terminal"
     )

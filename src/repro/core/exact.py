@@ -52,9 +52,14 @@ def mc_accumulate_stratum(
 
     Called once the ``base_size + 1`` stratum is evaluated.  For any fixed
     client the coalitions arrive in the same (size-ascending, lexicographic)
-    order as the monolithic per-client loop, and each ``+=`` touches a single
-    scalar accumulator — so the folded floats are bitwise-identical to the
-    one-shot computation.
+    order as the monolithic per-client loop, and each client's accumulator
+    takes its contributions one at a time in that order — so the folded
+    floats are bitwise-identical to the one-shot computation.
+
+    The (client, with-client, base) triples are gathered in the loop's visit
+    order and folded by ``np.add.at``, which is unbuffered and applies
+    repeated indices in index order: the same sequence of scalar ``+=`` as
+    the per-pair loop, without a NumPy scalar operation per pair.
 
     This fold order is load-bearing for the bitwise-parity contract and is
     shared by every MC-scheme estimator (MC/Perm-Shapley here, K-Greedy and
@@ -62,13 +67,23 @@ def mc_accumulate_stratum(
     all.
     """
     weight = marginal_coefficient(n_clients, base_size)
+    everyone = range(n_clients)
+    clients: list = []
+    with_client: list = []
+    base: list = []
     for coalition in coalitions_of_size(n_clients, base_size):
-        base_utility = utilities[coalition]
-        for client in range(n_clients):
-            if client in coalition:
-                continue
-            values[client] += weight * (utilities[coalition | {client}] - base_utility)
-            counts[client] += 1
+        outside = [client for client in everyone if client not in coalition]
+        clients += outside
+        with_client += [utilities[coalition.union((client,))] for client in outside]
+        base.append(utilities[coalition])
+    if not clients:
+        return
+    index = np.asarray(clients, dtype=np.intp)
+    # Every base coalition has exactly n - base_size outside clients.
+    base_utility = np.repeat(np.asarray(base, dtype=float), n_clients - base_size)
+    contributions = weight * (np.asarray(with_client, dtype=float) - base_utility)
+    np.add.at(values, index, contributions)
+    counts += np.bincount(index, minlength=n_clients)
 
 
 class MCShapley(ValuationAlgorithm):

@@ -172,13 +172,19 @@ FLEET_FIELDS = (
 
 
 def check_backend(field_name: str, name: str, choices: Sequence[str]) -> None:
-    """Reject a backend name outside ``choices``, naming the field."""
+    """Reject a backend name outside ``choices``, naming the field.
+
+    A retired name gets its replacements spelled out, naming only the
+    backends in ``choices``.
+    """
     if name in RETIRED_BACKENDS:
-        raise ValueError(
-            f"{field_name}: the {name!r} backend was removed; use 'vectorized' "
-            "to train batches in lockstep in one process, or "
-            "'fleet --spawn-workers N' to evaluate across N worker processes"
-        )
+        hint = "use 'vectorized' to train batches in lockstep in one process"
+        if "fleet" in choices:
+            hint += (
+                ", or 'fleet --spawn-workers N' to evaluate across N worker "
+                "processes"
+            )
+        raise ValueError(f"{field_name}: the {name!r} backend was removed; {hint}")
     if name not in choices:
         raise ValueError(
             f"{field_name}: unknown {field_name.replace('_', ' ')} {name!r}; "
@@ -541,11 +547,14 @@ def run_plan(
     (:meth:`~repro.core.ValuationAlgorithm.iter_run`): every
     ``checkpoint_every`` chunks (0 disables) the estimator state is persisted
     under ``checkpoints/``, so an interrupted campaign resumes *inside* the
-    interrupted cell — only the in-flight chunk is replayed, and with the
-    store attached that replay trains nothing.  ``stop_rule`` (reset per
-    cell) ends a cell early once converged; the cell is then recorded done
-    with ``metadata.stopped_early``.  ``on_snapshot(spec, algorithm,
-    snapshot)`` observes every chunk of every cell.
+    interrupted cell — only the in-flight chunk's trainings are repeated,
+    and with the store attached the replay of the chunks since the last
+    checkpoint trains nothing (chunks that trained nothing are not
+    checkpointed against a durable store; see :func:`execute_cell`).
+    ``stop_rule`` (reset per cell) ends a cell early once converged; the
+    cell is then recorded done with ``metadata.stopped_early``.
+    ``on_snapshot(spec, algorithm, snapshot)`` observes every chunk of every
+    cell.
 
     The report's ``fl_trainings`` counts only trainings paid by *this*
     invocation — the number the acceptance bar requires to be zero when a
@@ -634,8 +643,9 @@ def resume_run(
     """Finish an interrupted campaign from its manifest alone.
 
     Cells interrupted mid-valuation continue from their estimator checkpoint
-    (see :func:`run_plan`): the resumed run replays at most the in-flight
-    chunk and produces values bitwise-identical to an uninterrupted run.
+    (see :func:`run_plan`): the resumed run repeats at most the in-flight
+    chunk's trainings — it may replay more chunks than that, from the store
+    — and produces values bitwise-identical to an uninterrupted run.
     """
     manifest = load_manifest(run_dir)
     if manifest is None:
@@ -689,16 +699,34 @@ def execute_cell(
     callback raises still finds the chunk on disk.  Gradient algorithms
     stream through their single-chunk ``iter_run`` adapter and are never
     checkpointed.  The pipeline and the service both run cells here.
+
+    A checkpoint only saves trainings on resume, so a cadence chunk is not
+    written when ``utility.evaluations`` has not grown since this cell's
+    last checkpoint (or its start) and the attached store is
+    :attr:`~repro.store.UtilityStore.durable`: every utility since then is
+    on disk, and a resume replays those chunks from the last checkpoint's
+    RNG state, bitwise, without training.  So a resume repeats at most the
+    in-flight chunk's *trainings*, though it may replay more chunks.  A
+    non-finite utility is counted in ``evaluations`` though never stored,
+    so it still forces its checkpoint.  Without a store, or with one that
+    dies with the process, every cadence chunk is written.
     """
+    store = getattr(utility, "store", None)
+    skip_untrained = store is not None and store.durable
+    trained_at_checkpoint = utility.evaluations if skip_untrained else None
 
     def observe(snapshot) -> None:
+        nonlocal trained_at_checkpoint
         if (
             snapshot.state is not None
             and not snapshot.done
             and checkpoint_every
             and snapshot.chunk_index % checkpoint_every == 0
         ):
-            _write_json(checkpoint, snapshot.state.to_dict())
+            trained = utility.evaluations if skip_untrained else None
+            if trained is None or trained != trained_at_checkpoint:
+                _write_json(checkpoint, snapshot.state.to_dict())
+                trained_at_checkpoint = trained
         if on_snapshot is not None:
             on_snapshot(snapshot)
 

@@ -39,11 +39,16 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.fleet.queue import DEFAULT_MAX_ATTEMPTS, LeaseQueue, WorkPayload
-from repro.parallel.executors import CoalitionExecutor, Evaluator, SerialExecutor
+from repro.parallel.executors import (
+    IN_PROCESS_BACKENDS,
+    CoalitionExecutor,
+    Evaluator,
+    SerialExecutor,
+)
 from repro.store import SqliteUtilityStore, UtilityStore, utility_key
 
 #: executor backends a worker may run internally (no fleet-in-fleet)
-WORKER_BACKENDS = ("serial", "vectorized")
+WORKER_BACKENDS = IN_PROCESS_BACKENDS
 
 
 def spawn_worker(

@@ -49,6 +49,7 @@ from repro.parallel.executors import (
     make_executor,
 )
 from repro.store import StoreLike, UtilityStore, resolve_store, utility_key
+from repro.store.fingerprint import coalition_token, key_prefix
 from repro.telemetry import SIZE_BUCKETS, Telemetry
 
 #: sentinel distinguishing "absent" from a memoised value
@@ -59,7 +60,7 @@ def coalition_batch_keys(coalitions: Iterable[Iterable[int]]) -> list[frozenset]
     """Canonicalise a batch: frozenset keys, deduplicated, input order kept."""
     ordered: dict[frozenset, None] = {}
     for coalition in coalitions:
-        ordered.setdefault(frozenset(int(c) for c in coalition), None)
+        ordered.setdefault(frozenset(map(int, coalition)), None)
     return list(ordered)
 
 
@@ -132,6 +133,12 @@ class BatchUtilityOracle:
         self._lock = threading.Lock()
         self._memo: dict[frozenset, float] = {}
         self._in_flight: dict[frozenset, threading.Event] = {}
+        # Every coalition this oracle has seen, for its whole lifetime (the
+        # memo is per cell; these survive `reset_cache`): its canonical key,
+        # and its store token once it has been looked up in a store.  A
+        # coalition is converted and sorted once, not once per lookup.
+        self._canonical: dict[frozenset, frozenset] = {}
+        self._tokens: dict[frozenset, str] = {}
         self._accounting = Accounting()
         # Single lookups evaluate inline, whatever the batch backend: one
         # coalition never goes to the fleet or the vectorized engine.
@@ -163,7 +170,8 @@ class BatchUtilityOracle:
 
     def utility(self, coalition: Iterable[int]) -> float:
         """Return ``U(M_S)``, evaluating inline and memoising on first use."""
-        key = frozenset(int(c) for c in coalition)
+        with self._lock:
+            (key,) = self._canonical_keys([coalition])
         return self._resolve([key], self._inline)[key]
 
     def evaluate_batch(
@@ -176,11 +184,12 @@ class BatchUtilityOracle:
         the same ordering — hence bitwise-identical values — regardless of
         backend.
         """
-        keys = coalition_batch_keys(coalitions)
-        if not keys:
+        coalitions = list(coalitions)
+        if not coalitions:
             return {}
         executor = self._executor
         with self._lock:
+            keys = self._canonical_keys(coalitions)
             counts = self._accounting.batch_counts
             counts[executor.name] = counts.get(executor.name, 0) + 1
         telemetry = self._telemetry
@@ -239,15 +248,46 @@ class BatchUtilityOracle:
             pending = waiting
         return {key: results[key] for key in keys}
 
+    def _canonical_keys(self, coalitions: list) -> list[frozenset]:
+        """:func:`coalition_batch_keys` over this oracle's canonical keys.
+
+        A frozenset seen before maps to its stored canonical key by one
+        hashed lookup; anything else is converted as
+        :func:`coalition_batch_keys` converts it.  Caller must hold the lock.
+        """
+        canonical = self._canonical
+        ordered: dict[frozenset, None] = {}
+        for coalition in coalitions:
+            key = canonical.get(coalition) if type(coalition) is frozenset else None
+            if key is None:
+                key = frozenset(map(int, coalition))
+                key = canonical.setdefault(key, key)
+            ordered[key] = None
+        return list(ordered)
+
+    def _store_keys(
+        self, namespace: str, keys: list[frozenset]
+    ) -> dict[frozenset, str]:
+        """Store key of each coalition, sorting each one at most once."""
+        prefix = key_prefix(namespace)
+        with self._lock:
+            tokens = self._tokens
+            for key in keys:
+                if key not in tokens:
+                    tokens[key] = coalition_token(key)
+            return {key: prefix + tokens[key] for key in keys}
+
     def _fill(
         self, keys: list[frozenset], executor: CoalitionExecutor
     ) -> dict[frozenset, float]:
-        """Resolve claimed keys from the store, then the executor."""
+        """Resolve claimed keys from the store (one read), then the executor."""
         store, namespace = self._store, self._namespace
         stored: dict[frozenset, float] = {}
         if store is not None:
-            for key in keys:
-                value = store.get(utility_key(namespace, key))
+            store_keys = self._store_keys(namespace, keys)
+            found = store.get_many(store_keys.values())
+            for key, store_key in store_keys.items():
+                value = found.get(store_key)
                 if value is not None:
                     stored[key] = value
             self._count("store.hit", len(stored))
@@ -260,7 +300,7 @@ class BatchUtilityOracle:
             )
             if store is not None:
                 for key, value in trained.items():
-                    store.put(utility_key(namespace, key), value)
+                    store.put(store_keys[key], value)
         with self._lock:
             self._accounting.store_hits += len(stored)
             self._accounting.evaluations += len(trained)

@@ -39,9 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Evaluator = Callable[[frozenset], float]
 
+#: backends that evaluate inside the calling process: what a fleet worker
+#: or a service job runs on
+IN_PROCESS_BACKENDS = ("serial", "vectorized")
+
 #: registered backend names; all but "fleet" are constructible by
 #: :func:`make_executor` from the bare name (fleet needs a queue directory)
-EXECUTOR_BACKENDS = ("serial", "vectorized", "fleet")
+EXECUTOR_BACKENDS = IN_PROCESS_BACKENDS + ("fleet",)
 
 
 class CoalitionExecutor(abc.ABC):

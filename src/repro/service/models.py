@@ -30,12 +30,15 @@ from typing import Any, Dict, Optional
 
 from repro.core import parse_stopping_rule
 from repro.experiments.pipeline import (
+    RETIRED_BACKENDS,
     available_algorithms,
+    check_backend,
     drop_legacy_n_workers,
     fleet_fields,
     validate_execution,
 )
 from repro.experiments.specs import TaskSpec
+from repro.parallel.executors import IN_PROCESS_BACKENDS
 from repro.store import fingerprint
 
 #: terminal statuses: the job will never run again
@@ -134,6 +137,9 @@ class JobSpec:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
+        if self.backend in RETIRED_BACKENDS:
+            # Name only the backends a job can run on in the hint.
+            check_backend("backend", self.backend, IN_PROCESS_BACKENDS)
         validate_execution(self)
 
     # ------------------------------------------------------------------ #

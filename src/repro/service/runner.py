@@ -21,7 +21,8 @@ What the service adds around that core:
   store-key parity with direct CLI runs;
 * control flags (cancel / preempt) are polled at every chunk boundary, the
   only place the anytime protocol can stop cleanly; a preempt also writes
-  the current chunk, which may be off the checkpoint cadence;
+  the current chunk, which may be off the checkpoint cadence or have
+  trained nothing;
 * the job's event stream and its :class:`JobOutcome`.
 """
 
@@ -117,7 +118,8 @@ def run_job(
         )
 
     def observe(snapshot) -> None:
-        # execute_cell has already written a cadence checkpoint of this chunk.
+        # execute_cell has already written this chunk's checkpoint if it is
+        # on the cadence and trained something.
         if progress["first_snapshot"] is None:
             progress["first_snapshot"] = time.perf_counter() - started
         progress["chunks"] += 1
@@ -128,7 +130,8 @@ def run_job(
         resumable = snapshot.state is not None and not snapshot.done
         if preempt and resumable and spec.checkpoint_every:
             # The scheduler asked us to yield: persist THIS chunk (it may
-            # be off the checkpoint cadence) and hand the worker back.
+            # be off the checkpoint cadence or have trained nothing) and
+            # hand the worker back.
             _write_json(ckpt, snapshot.state.to_dict())
             raise JobPreempted(job_id)
 

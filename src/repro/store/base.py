@@ -21,7 +21,7 @@ import abc
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.store.fingerprint import key_namespace
 from repro.telemetry import BYTES_BUCKETS
@@ -132,13 +132,20 @@ class UtilityStore(abc.ABC):
                 self.telemetry.observe("store.put_bytes", written, BYTES_BUCKETS)
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, float]:
-        """Batch read; only present (readable) keys appear in the result."""
-        results: Dict[str, float] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not None:
-                results[key] = value
-        return results
+        """Batch read; only present (readable) keys appear in the result.
+
+        One backend round trip for the whole batch (SQLite answers with a
+        few ``SELECT … IN`` queries instead of one per key).  Results, their
+        order and the ``stats``/``corrupt_entries`` counts are exactly those
+        of calling :meth:`get` on each key in turn, duplicates included.
+        """
+        keys = list(keys)
+        with self._lock:
+            self._check_open()
+            results = self._read_many(keys)
+            self.stats.gets += len(keys)
+            self.stats.hits += sum(1 for key in keys if key in results)
+            return results
 
     def put_many(self, entries: Dict[str, float]) -> None:
         for key, value in entries.items():
@@ -200,6 +207,16 @@ class UtilityStore(abc.ABC):
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def durable(self) -> bool:
+        """Whether stored utilities outlive this process (read-only).
+
+        A resume can replay any chunk whose utilities all reached a durable
+        store without training again, so chunks that trained nothing need
+        no checkpoint (see :func:`repro.experiments.pipeline.execute_cell`).
+        """
+        return False
+
     def __enter__(self) -> "UtilityStore":
         return self
 
@@ -220,6 +237,15 @@ class UtilityStore(abc.ABC):
 
     @abc.abstractmethod
     def _read(self, key: str) -> Optional[float]: ...
+
+    def _read_many(self, keys: List[str]) -> Dict[str, float]:
+        """Readable values of ``keys`` in key order; caller must hold the lock."""
+        results: Dict[str, float] = {}
+        for key in keys:
+            value = self._read(key)
+            if value is not None:
+                results[key] = value
+        return results
 
     @abc.abstractmethod
     def _write(self, key: str, value: float) -> int:

@@ -94,8 +94,8 @@ def coalition_token(coalition: Iterable[int]) -> str:
     256-bit digest kept (collision probability is negligible at any
     conceivable store size).
     """
-    members = sorted(int(c) for c in coalition)
-    plain = ",".join(str(m) for m in members)
+    members = sorted(map(int, coalition))
+    plain = ",".join(map(str, members))
     if len(members) <= HASHED_KEY_THRESHOLD:
         return plain
     digest = hashlib.sha256(plain.encode("ascii")).hexdigest()
@@ -111,9 +111,14 @@ def utility_key(namespace: str, coalition: Iterable[int]) -> str:
     be inspected by eye — unless the coalition is large, in which case the
     token is the fixed-width hash described at :func:`coalition_token`.
     """
+    return key_prefix(namespace) + coalition_token(coalition)
+
+
+def key_prefix(namespace: str) -> str:
+    """The ``<namespace>:`` prefix of every :func:`utility_key` in ``namespace``."""
     if ":" in namespace:
         raise ValueError(f"namespace must not contain ':', got {namespace!r}")
-    return f"{namespace}:{coalition_token(coalition)}"
+    return f"{namespace}:"
 
 
 def key_namespace(key: str) -> str:

@@ -45,6 +45,14 @@ BUSY_RETRIES = 8
 #: base pause between busy retries (seconds); scaled linearly per attempt
 BUSY_BACKOFF_SECONDS = 0.05
 
+#: keys per ``SELECT … IN`` of a batch read: under SQLite's host-parameter
+#: limit (999 before SQLite 3.32) whatever the library version
+READ_CHUNK = 512
+
+
+#: marks a requested key no row answered, in a batch read
+_ABSENT = object()
+
 
 def is_busy_error(error: BaseException) -> bool:
     """Whether an :class:`sqlite3.OperationalError` is SQLITE_BUSY/LOCKED."""
@@ -145,6 +153,10 @@ class SqliteUtilityStore(UtilityStore):
     def location(self) -> str:
         return self.path
 
+    @property
+    def durable(self) -> bool:
+        return self.path != ":memory:"
+
     # ------------------------------------------------------------------ #
     # Backend hooks
     # ------------------------------------------------------------------ #
@@ -160,6 +172,38 @@ class SqliteUtilityStore(UtilityStore):
             self.stats.corrupt_entries += 1
             return None
         return value
+
+    def _read_many(self, keys: List[str]) -> Dict[str, float]:
+        """One ``SELECT … IN`` per :data:`READ_CHUNK` distinct keys.
+
+        Each query's key list is padded to a power of two by repeating its
+        last key, so the connection caches at most ten statement shapes
+        instead of one prepared statement per batch size.  Rows land on the
+        caller's key objects, so the key strings SQLite returns are freed
+        row by row.  Caller must hold the lock (the public ``get_many``
+        does).
+        """
+        found: Dict[str, Any] = dict.fromkeys(keys, _ABSENT)
+        distinct = list(found)
+        for start in range(0, len(distinct), READ_CHUNK):
+            chunk = distinct[start:start + READ_CHUNK]
+            width = 1 << (len(chunk) - 1).bit_length()
+            chunk += chunk[-1:] * (width - len(chunk))
+            for key, value in self._connection.execute(
+                "SELECT key, value FROM utilities WHERE key IN "
+                f"({','.join('?' * len(chunk))})",
+                chunk,
+            ):
+                found[key] = value
+        results: Dict[str, float] = {}
+        for key in keys:
+            value = found[key]
+            if isinstance(value, float):
+                results[key] = value
+            elif value is not _ABSENT:
+                # Counted per requested key, as the per-key `_read` does.
+                self.stats.corrupt_entries += 1
+        return results
 
     def _write(self, key: str, value: float) -> int:
         def write_row() -> None:
@@ -390,6 +434,14 @@ class RecordingStore(UtilityStore):
     def _read(self, key: str) -> Optional[float]:
         """Caller must hold the lock (the public ``get`` does)."""
         return self._inner.get(key)
+
+    def _read_many(self, keys: List[str]) -> Dict[str, float]:
+        """Caller must hold the lock (the public ``get_many`` does)."""
+        return self._inner.get_many(keys)
+
+    @property
+    def durable(self) -> bool:
+        return self._inner.durable
 
     def _write(self, key: str, value: float) -> int:
         """Caller must hold the lock (the public ``put`` does)."""

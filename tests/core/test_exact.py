@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CCShapley, MCShapley, PermShapley, exact_shapley
+from repro.core.exact import mc_accumulate_stratum
 from repro.fl import TabularUtility
-from repro.utils.combinatorics import all_coalitions
+from repro.utils.combinatorics import (
+    all_coalitions,
+    coalitions_of_size,
+    marginal_coefficient,
+)
 
 from tests.helpers import monotone_game
 
@@ -154,3 +159,42 @@ def test_monotone_game_values_nonnegative(seed, n):
     game = monotone_game(n, seed=seed)
     values = MCShapley().run(game, n).values
     assert np.all(values >= -1e-12)
+
+
+def _mc_accumulate_stratum_loop(utilities, n_clients, base_size, values, counts):
+    """The per-pair scalar loop the vectorised fold must reproduce bitwise."""
+    weight = marginal_coefficient(n_clients, base_size)
+    for coalition in coalitions_of_size(n_clients, base_size):
+        base_utility = utilities[coalition]
+        for client in range(n_clients):
+            if client in coalition:
+                continue
+            values[client] += weight * (utilities[coalition | {client}] - base_utility)
+            counts[client] += 1
+
+
+_utility_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+# Near-maximal floats overflow to inf in the subtraction, as they do in
+# the loop; NumPy reports it as a RuntimeWarning, Python floats do not.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=7))
+def test_vectorised_mc_fold_is_bitwise_the_scalar_loop(data, n):
+    utilities = {
+        coalition: data.draw(_utility_floats) for coalition in all_coalitions(n)
+    }
+    start = data.draw(st.lists(_utility_floats, min_size=n, max_size=n))
+    folded, folded_counts = np.array(start), np.zeros(n)
+    looped, looped_counts = np.array(start), np.zeros(n)
+    # Stratum by stratum onto one accumulator, as the estimators fold.
+    for base_size in range(n):
+        mc_accumulate_stratum(utilities, n, base_size, folded, folded_counts)
+        _mc_accumulate_stratum_loop(utilities, n, base_size, looped, looped_counts)
+        assert folded.tobytes() == looped.tobytes()
+        assert folded_counts.tobytes() == looped_counts.tobytes()

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from repro.core import BudgetRule, parse_stopping_rule
+from repro.core.exact import MCShapley
+from repro.experiments import pipeline
 from repro.experiments.figures import convergence_curve
 from repro.experiments.pipeline import (
     CHECKPOINTS_DIR,
     ExperimentPlan,
+    execute_cell,
     resume_run,
     run_plan,
 )
 from repro.experiments.specs import TaskSpec
 from repro.experiments.tables import convergence_table
-from repro.store import MemoryUtilityStore
+from repro.parallel import BatchUtilityOracle
+from repro.store import MemoryUtilityStore, SqliteUtilityStore
 
 
 def _spec(n_clients=3, seed=0):
@@ -206,6 +210,137 @@ class TestMidCellCheckpointResume:
                 on_snapshot=_InterruptAfter(2),
             )
         assert not os.path.exists(os.path.join(run_dir, CHECKPOINTS_DIR))
+
+
+class _CheckpointSpy:
+    """Records the checkpoints the pipeline writes and the chunks it runs.
+
+    A chunk's checkpoint is written just before its snapshot reaches the
+    observer, so each write is attributed to the snapshot that follows it.
+    """
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        write = pipeline._write_json
+
+        def spy(path, payload):
+            if os.path.basename(os.path.dirname(path)) == CHECKPOINTS_DIR:
+                self.events.append(("write", payload["chunk_index"]))
+            write(path, payload)
+
+        monkeypatch.setattr(pipeline, "_write_json", spy)
+
+    def __call__(self, spec, algorithm, snapshot):
+        self.events.append(
+            ("chunk", algorithm, snapshot.chunk_index, snapshot.evaluations,
+             snapshot.done)
+        )
+
+    def _chunks(self):
+        return [event[1:] for event in self.events if event[0] == "chunk"]
+
+    def writes(self):
+        """``(algorithm, chunk)`` of every checkpoint written."""
+        written = []
+        for event, following in zip(self.events, self.events[1:]):
+            if event[0] == "write":
+                assert following[0] == "chunk" and following[2] == event[1]
+                written.append(following[1:3])
+        return written
+
+    def cadence_chunks(self, every=1):
+        return [
+            (algorithm, chunk)
+            for algorithm, chunk, _, done in self._chunks()
+            if not done and chunk % every == 0
+        ]
+
+    def trained_chunks(self, every=1):
+        """Cadence chunks that trained since their cell's last such chunk."""
+        expected, last = [], {}
+        for algorithm, chunk, evaluations, done in self._chunks():
+            if done or chunk % every:
+                continue
+            if evaluations != last.get(algorithm, 0):
+                expected.append((algorithm, chunk))
+                last[algorithm] = evaluations
+        return expected
+
+
+class TestCheckpointOnlyAfterTrainings:
+    """Against a durable store, only chunks that trained are checkpointed."""
+
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_cold_sqlite_checkpoints_every_chunk_that_trained(
+        self, tmp_path, monkeypatch, every
+    ):
+        spy = _CheckpointSpy(monkeypatch)
+        with SqliteUtilityStore(str(tmp_path / "store.sqlite")) as store:
+            run_plan(
+                _plan(),
+                str(tmp_path / "cold"),
+                store=store,
+                checkpoint_every=every,
+                on_snapshot=spy,
+            )
+        expected = spy.trained_chunks(every)
+        # IPSS reads every coalition MC-Shapley trained and trains none.
+        assert {algorithm for algorithm, _ in expected} == {"MC-Shapley"}
+        assert len(expected) < len(spy.cadence_chunks(every))
+        assert spy.writes() == expected
+
+    def test_warm_sqlite_never_creates_a_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "store.sqlite")
+        with SqliteUtilityStore(path) as store:
+            run_plan(_plan(), str(tmp_path / "fill"), store=store)
+        spy = _CheckpointSpy(monkeypatch)
+        warm_dir = str(tmp_path / "warm")
+        with SqliteUtilityStore(path) as store:
+            report = run_plan(_plan(), warm_dir, store=store, on_snapshot=spy)
+        assert report.fl_trainings == 0
+        assert len(spy.cadence_chunks()) > 2
+        assert spy.writes() == []
+        checkpoints = os.path.join(warm_dir, CHECKPOINTS_DIR)
+        assert not os.path.isdir(checkpoints) or os.listdir(checkpoints) == []
+        assert _cell_values(warm_dir) == _cell_values(str(tmp_path / "fill"))
+
+    @pytest.mark.parametrize("store_kind", ["memory", "none"])
+    def test_without_a_durable_store_every_cadence_chunk_is_written(
+        self, tmp_path, monkeypatch, store_kind
+    ):
+        store = MemoryUtilityStore() if store_kind == "memory" else None
+        if store is not None:
+            run_plan(_plan(), str(tmp_path / "fill"), store=store)  # warm it
+        spy = _CheckpointSpy(monkeypatch)
+        run_plan(_plan(), str(tmp_path / "run"), store=store, on_snapshot=spy)
+        assert spy.cadence_chunks()
+        assert spy.writes() == spy.cadence_chunks()
+
+    def test_a_non_finite_utility_counts_as_trained(self, tmp_path, monkeypatch):
+        # NaN utilities are never stored, so a warm rerun trains them again:
+        # the chunk that does is checkpointed, the others are not.
+        def game(coalition):
+            members = set(coalition)
+            return float("nan") if members == {0, 1} else float(len(members))
+
+        def checkpoint(run):
+            return str(tmp_path / run / CHECKPOINTS_DIR / "cell.state.json")
+
+        with SqliteUtilityStore(str(tmp_path / "store.sqlite")) as store:
+            with BatchUtilityOracle(game, 3, store=store, store_namespace="t") as cold:
+                execute_cell(MCShapley(), cold, checkpoint("cold"), "cold", _quiet)
+            spy = _CheckpointSpy(monkeypatch)
+            with BatchUtilityOracle(game, 3, store=store, store_namespace="t") as warm:
+                execute_cell(
+                    MCShapley(), warm, checkpoint("warm"), "warm", _quiet,
+                    on_snapshot=lambda snapshot: spy(None, "MC", snapshot),
+                )
+            assert warm.evaluations == 1
+        assert spy.writes() == [("MC", 3)]  # chunk 3 is the size-2 stratum
+
+
+def _quiet(message):
+    """Log sink for execute_cell."""
 
 
 class TestStopRules:

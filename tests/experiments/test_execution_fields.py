@@ -52,9 +52,10 @@ def job_payload(**fields):
     return {"task": JOB_TASK, "algorithm": "IPSS", **fields}
 
 
-def assert_names_replacements(message):
+def assert_names_replacements(message, fleet):
+    """The hint names 'vectorized', and 'fleet' only where fleet is valid."""
     assert "'vectorized'" in message
-    assert "'fleet --spawn-workers N'" in message
+    assert ("'fleet --spawn-workers N'" in message) == fleet
 
 
 class TestFleetOnlyFields:
@@ -117,7 +118,7 @@ class TestLegacyWorkers:
     def test_other_values_are_rejected_naming_the_field(self, value):
         with pytest.raises(ValueError, match="n_workers") as excinfo:
             ExperimentPlan.from_dict(plan_payload(n_workers=value))
-        assert_names_replacements(str(excinfo.value))
+        assert_names_replacements(str(excinfo.value), fleet=True)
         with pytest.raises(ValueError, match="n_workers"):
             JobSpec.from_dict(job_payload(n_workers=value))
 
@@ -214,7 +215,8 @@ class TestRetiredBackends:
         removed = f"{field_name}: the '{name}' backend was removed"
         with pytest.raises(ValueError, match=removed) as excinfo:
             ExperimentPlan.from_dict(plan_payload(**fields))
-        assert_names_replacements(str(excinfo.value))
+        # Workers run in-process backends only: no fleet in a fleet.
+        assert_names_replacements(str(excinfo.value), fleet=field_name == "backend")
 
     @pytest.mark.parametrize("name", RETIRED)
     @pytest.mark.parametrize("field_name", ["backend", "worker_backend"])
@@ -225,25 +227,26 @@ class TestRetiredBackends:
         removed = f"{field_name}: the '{name}' backend was removed"
         with pytest.raises(ValueError, match=removed) as excinfo:
             JobSpec.from_dict(job_payload(**fields))
-        assert_names_replacements(str(excinfo.value))
+        # The service refuses fleet jobs, so it never suggests one.
+        assert_names_replacements(str(excinfo.value), fleet=False)
 
     @pytest.mark.parametrize("name", RETIRED)
     @pytest.mark.parametrize(
-        "argv",
+        ("argv", "fleet"),
         [
-            ["run", "--run-dir", "r", "--backend"],
-            ["run", "--run-dir", "r", "--backend", "fleet", "--worker-backend"],
-            ["worker", "q", "--backend"],
-            ["submit", "--backend"],
+            (["run", "--run-dir", "r", "--backend"], True),
+            (["run", "--run-dir", "r", "--backend", "fleet", "--worker-backend"], False),
+            (["worker", "q", "--backend"], False),
+            (["submit", "--backend"], False),
         ],
         ids=["run", "run-worker-backend", "worker", "submit"],
     )
-    def test_cli_names_the_replacements(self, name, argv, capsys):
+    def test_cli_names_the_replacements(self, name, argv, fleet, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, name])
         message = capsys.readouterr().err
         assert f"the '{name}' backend was removed" in message
-        assert_names_replacements(message)
+        assert_names_replacements(message, fleet)
 
     def test_cli_has_no_worker_count_flag(self, capsys):
         with pytest.raises(SystemExit):

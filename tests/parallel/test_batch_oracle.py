@@ -103,6 +103,25 @@ class TestBatchUtilityOracle:
         assert results[frozenset({1, 2})] == 2.0
         assert oracle.evaluations == 3  # duplicate {0} trained once
 
+    def test_keys_are_canonical_and_store_keys_unchanged(self):
+        # Members of any integer type key as Python ints, once per oracle,
+        # and reach the store under the key `utility_key` spells.
+        store = MemoryUtilityStore()
+        oracle = BatchUtilityOracle(
+            CountingGame(), n_clients=20, store=store, store_namespace="t"
+        )
+        first = oracle.evaluate_batch([frozenset({1, 2}), (np.int64(2), 1)])
+        (key,) = first
+        assert all(type(member) is int for member in key)
+        wide = frozenset(np.arange(18))  # hashed token
+        oracle.reset_cache()
+        again = oracle.evaluate_batch([frozenset({np.int64(1), 2}), wide])
+        assert next(iter(again)) is key  # the canonical key, not a rebuild
+        assert oracle.utility(wide) == 18.0
+        assert sorted(store._data) == sorted(
+            [utility_key("t", [1, 2]), utility_key("t", range(18))]
+        )
+
     def test_batch_uses_cache_across_calls(self):
         game = CountingGame()
         oracle = BatchUtilityOracle(game, n_clients=4)
@@ -487,6 +506,18 @@ class TestConcurrentAccounting:
         """Twelve threads with a tiny switch interval mix single and batch
         lookups over one 32-coalition space: each coalition trains once and
         each lookup is counted once — a lost update breaks either count."""
+        self._stress_mixed_lookups(store=None)
+
+    def test_stress_with_a_store_reads_and_keys_each_coalition_once(self):
+        store = MemoryUtilityStore()
+        oracle, space = self._stress_mixed_lookups(store)
+        assert store.stats.gets == store.stats.puts == len(space)
+        assert len(oracle._tokens) == len(space)
+        for coalition in space:
+            assert store.get(utility_key("t", coalition)) == len(coalition)
+
+    @staticmethod
+    def _stress_mixed_lookups(store):
         calls = []
         lock = threading.Lock()
 
@@ -495,7 +526,9 @@ class TestConcurrentAccounting:
                 calls.append(frozenset(coalition))
             return float(len(coalition))
 
-        oracle = BatchUtilityOracle(evaluator, n_clients=5)
+        oracle = BatchUtilityOracle(
+            evaluator, n_clients=5, store=store, store_namespace="t"
+        )
         space = list(all_coalitions(5))
         generator = np.random.default_rng(0)
 
@@ -523,6 +556,7 @@ class TestConcurrentAccounting:
         assert len(calls) == len(set(calls)) == oracle.evaluations == len(space)
         lookups = sum(len(batch) for plan in plans for batch in plan)
         assert oracle.cache_hits + oracle.evaluations == lookups
+        return oracle, space
 
 
 class ClosingExecutor(SerialExecutor):

@@ -6,6 +6,7 @@ no timing, no threads.  The service-level suite (test_service.py) covers the
 same invariants through the real scheduler.
 """
 
+import json
 import os
 
 import pytest
@@ -247,3 +248,36 @@ class TestWarmStore:
                 )
             total, distinct = jobs.training_counts()
             assert total == distinct > 0
+
+    def test_preempted_warm_job_still_checkpoints(self, tmp_path, store):
+        # A warm job trains nothing, so its cadence chunks are not written
+        # against the durable store; a preempt writes its chunk regardless,
+        # and the resumed attempt continues from it.
+        spec = make_spec(n_clients=5)
+        execute(
+            make_record(spec, "job-000001"),
+            store,
+            str(tmp_path),
+            Ledger(),
+            ControlScript(),
+            [],
+        )
+        record = make_record(spec, "job-000002")
+        first = execute(
+            record, store, str(tmp_path), Ledger(), ControlScript(preempt_at=3), []
+        )
+        assert first.status == "preempted"
+        assert first.fl_trainings == 0
+        with open(checkpoint_path(str(tmp_path), record.job_id)) as handle:
+            assert json.load(handle)["chunk_index"] == 3
+
+        resumed_events = []
+        second = execute(
+            record, store, str(tmp_path), Ledger(), ControlScript(), resumed_events
+        )
+        snapshots = [e for e in resumed_events if e["event"] == "snapshot"]
+        assert snapshots[0]["chunk"] == 4
+        assert second.fl_trainings == 0
+        assert second.result["result"]["values"] == direct_values(
+            spec.task, spec.algorithm
+        )

@@ -11,6 +11,7 @@ from repro.store import (
     resolve_store,
     utility_key,
 )
+from repro.store.sqlite import READ_CHUNK, RecordingStore
 
 BACKENDS = ("memory", "sqlite")
 
@@ -213,3 +214,142 @@ class TestOpenStore:
             assert isinstance(store, SqliteUtilityStore)
             assert owned is True
             store.close()
+
+
+GET_MANY_BACKENDS = ("memory", "sqlite", "recording")
+
+
+class _Recorded:
+    """A RecordingStore over SQLite whose ledger rows land in a list."""
+
+    def __init__(self, tmp_path, name: str) -> None:
+        self.rows: list = []
+        self.inner = SqliteUtilityStore(str(tmp_path / name))
+        self.store = RecordingStore(
+            self.inner, lambda *row: self.rows.append(row), "job-1"
+        )
+
+
+def make_reader(backend: str, tmp_path, name: str = "store.sqlite"):
+    """A fresh handle of ``backend``; ``recording`` wraps SQLite."""
+    if backend == "recording":
+        return _Recorded(tmp_path, name).store
+    if backend == "memory":
+        return MemoryUtilityStore()
+    return SqliteUtilityStore(str(tmp_path / name))
+
+
+def per_key_loop(store, keys):
+    """The reference ``get_many``: one ``get`` per key, in order."""
+    results = {}
+    for key in keys:
+        value = store.get(key)
+        if value is not None:
+            results[key] = value
+    return results
+
+
+def stats_of(store):
+    stats = store.stats
+    return (stats.gets, stats.hits, stats.puts, stats.corrupt_entries)
+
+
+@pytest.mark.parametrize("backend", GET_MANY_BACKENDS)
+class TestGetMany:
+    ENTRIES = {f"ns:{index}": 0.1 * index + 1.0 / 3.0 for index in range(6)}
+    # missing keys, a repeated hit and a repeated miss, out of insertion order
+    KEYS = ["ns:4", "ns:9", "ns:0", "ns:4", "other:1", "ns:2", "ns:9", "ns:5"]
+
+    def _filled(self, backend, tmp_path, name):
+        store = make_reader(backend, tmp_path, name)
+        store.put_many(self.ENTRIES)
+        return store
+
+    def test_matches_the_per_key_get_loop(self, backend, tmp_path):
+        batched = self._filled(backend, tmp_path, "a.sqlite")
+        looped = self._filled(backend, tmp_path, "b.sqlite")
+        found = batched.get_many(self.KEYS)
+        expected = per_key_loop(looped, self.KEYS)
+        assert list(found.items()) == list(expected.items())  # order and bits
+        assert stats_of(batched) == stats_of(looped)
+        assert batched.stats.gets == len(self.KEYS)
+        assert batched.stats.hits == 5
+        batched.close()
+        looped.close()
+
+    def test_missing_keys_are_absent(self, backend, tmp_path):
+        store = self._filled(backend, tmp_path, "a.sqlite")
+        assert store.get_many(["ns:9", "other:0"]) == {}
+        assert store.get_many([]) == {}
+        assert "ns:9" not in store.get_many(["ns:9", "ns:1"])
+        assert store.stats.gets == 4
+        assert store.stats.hits == 1
+        store.close()
+
+    def test_more_keys_than_one_select_holds(self, backend, tmp_path):
+        store = make_reader(backend, tmp_path)
+        sqlite_store = getattr(store, "_inner", store)
+        if backend != "memory" and hasattr(sqlite3.Connection, "setlimit"):
+            # Hold this SQLite to the smallest host-parameter limit any
+            # version ships with, so one unchunked SELECT would fail.
+            sqlite_store._connection.setlimit(
+                sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999
+            )
+        keys = [f"ns:{index}" for index in range(2 * READ_CHUNK + 301)]
+        assert len(keys) > 999  # SQLite's smallest host-parameter limit
+        present = {key: index / 7.0 for index, key in enumerate(keys) if index % 2}
+        store.put_many(present)
+        found = store.get_many(keys)
+        expected = [(key, present[key]) for key in keys if key in present]
+        assert list(found.items()) == expected
+        assert store.stats.gets == len(keys)
+        assert store.stats.hits == len(present)
+        store.close()
+
+    def test_durable_is_a_property_of_the_store(self, backend, tmp_path):
+        store = make_reader(backend, tmp_path)
+        assert store.durable is (backend != "memory")
+        with pytest.raises(AttributeError):
+            store.durable = False
+        store.close()
+
+
+def test_recording_store_reads_write_no_ledger_rows(tmp_path):
+    recorded = _Recorded(tmp_path, "store.sqlite")
+    entries = TestGetMany.ENTRIES
+    recorded.inner.put_many(entries)  # behind the proxy: no rows
+    assert recorded.store.get_many(TestGetMany.KEYS)
+    assert recorded.store.get("ns:1") == entries["ns:1"]
+    assert recorded.rows == []
+    recorded.store.put("ns:7", 0.5)
+    assert recorded.rows == [("ns:7", "job-1")]  # writes alone are ledgered
+    recorded.inner.close()
+
+
+@pytest.mark.parametrize("backend", ("sqlite", "recording"))
+def test_get_many_reads_blob_and_text_rows_as_corrupt_misses(backend, tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    with SqliteUtilityStore(path) as store:
+        store.put_many({"t:0": 0.5, "t:1": 0.6, "t:2": 0.7})
+    connection = sqlite3.connect(path)
+    connection.execute("UPDATE utilities SET value = x'00ff' WHERE key = 't:1'")
+    connection.execute("UPDATE utilities SET value = 'torn' WHERE key = 't:2'")
+    connection.commit()
+    connection.close()
+
+    keys = ["t:2", "t:0", "t:1", "t:2", "t:3"]
+    batched = make_reader(backend, tmp_path)
+    looped = make_reader(backend, tmp_path)
+    assert batched.get_many(keys) == {"t:0": 0.5} == per_key_loop(looped, keys)
+    assert stats_of(batched) == stats_of(looped)
+    for handle in (batched, looped):
+        inner = getattr(handle, "_inner", handle)
+        assert inner.stats.corrupt_entries == 3  # counted per requested key
+    batched.close()
+    looped.close()
+
+
+def test_in_memory_sqlite_is_not_durable():
+    with SqliteUtilityStore(":memory:") as store:
+        assert store.durable is False
+        assert RecordingStore(store, lambda *row: None).durable is False

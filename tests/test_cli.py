@@ -348,6 +348,30 @@ class TestStoreCommands:
         assert "pass a .sqlite file" in err
 
 
+class TestSubmitBackend:
+    """``repro submit --backend`` offers what the service runs: in-process."""
+
+    @pytest.mark.parametrize("name", ["serial", "vectorized"])
+    def test_in_process_backends_parse(self, name):
+        args = build_parser().parse_args(["submit", "--backend", name])
+        assert args.backend == name
+
+    def test_fleet_is_not_offered(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "--backend", "fleet"])
+        message = capsys.readouterr().err
+        assert "--backend {serial,vectorized}" in message
+        assert "choose from ('serial', 'vectorized')" in message
+
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_retired_backend_hint_suggests_no_fleet(self, name, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "--backend", name])
+        message = capsys.readouterr().err
+        assert f"the '{name}' backend was removed; use 'vectorized'" in message
+        assert "fleet" not in message
+
+
 class TestTaskFlagGroup:
     """``run`` and ``submit`` share one task-flag group; defaults are pinned."""
 
