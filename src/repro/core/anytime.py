@@ -117,7 +117,9 @@ def encode_state_value(value):
     Handles the structures estimator payloads are built from: numpy arrays
     (dtype-tagged), frozenset coalitions, coalition-keyed and int-keyed dicts
     (order preserved — it is load-bearing for bitwise-reproducible folds),
-    plus plain scalars/lists/str-keyed dicts.
+    plus plain scalars/lists/str-keyed dicts.  A str-keyed dict with a
+    ``"__t"`` key of its own is wrapped in an ``smap`` record so the key is
+    not read back as a type tag.
 
     A coalition-keyed dict becomes one ``fsarr`` record — member counts,
     flattened sorted members and the values in insertion order — and a list
@@ -149,7 +151,11 @@ def encode_state_value(value):
             record["v"] = inner
             return record
         if all(isinstance(key, str) for key in value):
-            return {key: encode_state_value(inner) for key, inner in value.items()}
+            encoded = {key: encode_state_value(inner) for key, inner in value.items()}
+            if "__t" in value:
+                # a "__t" key of its own would read back as a type tag
+                return {"__t": "smap", "v": encoded}
+            return encoded
         if all(isinstance(key, (int, np.integer)) for key in value):
             return {
                 "__t": "imap",
@@ -191,6 +197,8 @@ def decode_state_value(value):
             }
         if tag == "imap":
             return {int(key): decode_state_value(inner) for key, inner in value["v"]}
+        if tag == "smap":
+            value = value["v"]
         return {key: decode_state_value(inner) for key, inner in value.items()}
     if isinstance(value, list):
         return [decode_state_value(inner) for inner in value]

@@ -130,6 +130,7 @@ _scalars = st.one_of(
     st.booleans(),
     st.none(),
     st.text(max_size=5),
+    st.sampled_from(["fs", "fsarr", "fsmap", "imap", "nd", "smap"]),
 )
 _arrays = st.one_of(
     st.lists(_floats, max_size=6).map(lambda xs: np.array(xs, dtype=np.float64)),
@@ -141,29 +142,39 @@ _arrays = st.one_of(
 _int_keys = st.one_of(st.integers(-50, 50), st.integers(-50, 50).map(np.int64))
 
 
-def _containers(children):
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_coalitions, children, max_size=4),
-        # int and np.int64 keys that compare equal collapse into one entry
-        st.dictionaries(_int_keys, children, max_size=4),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
+def _payloads_keyed_by(str_keys):
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_coalitions, children, max_size=4),
+            # int and np.int64 keys that compare equal collapse into one entry
+            st.dictionaries(_int_keys, children, max_size=4),
+            st.dictionaries(str_keys, children, max_size=4),
+        )
+
+    return st.recursive(
+        st.one_of(_scalars, _coalitions, _arrays, st.just({})),
+        containers,
+        max_leaves=25,
     )
 
 
-_payloads = st.recursive(
-    st.one_of(_scalars, _coalitions, _arrays, st.just({})),
-    _containers,
-    max_leaves=25,
+_payloads = _payloads_keyed_by(st.one_of(st.text(max_size=4), st.just("__t")))
+# format 1 wrote a str-keyed dict as is, so one with a "__t" key of its own
+# reads back as a tagged record: such payloads were never format-1 text
+_format_one_payloads = _payloads_keyed_by(
+    st.text(max_size=4).filter(lambda key: key != "__t")
 )
 
 
 def _tags(value):
-    """Every ``__t`` tag in an encoded value."""
+    """Every ``__t`` tag in an encoded value; the str-keyed dict inside an
+    ``smap`` record is payload, so its own ``"__t"`` key is not a tag."""
     if isinstance(value, dict):
         found = {value["__t"]} if "__t" in value else set()
-        for inner in value.values():
+        inner_values = value["v"].values() if found == {"smap"} else value.values()
+        for inner in inner_values:
             found |= _tags(inner)
         return found
     if isinstance(value, list):
@@ -172,7 +183,7 @@ def _tags(value):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_payloads)
+@given(_format_one_payloads)
 def test_format_one_text_decodes_to_the_same_payload(payload):
     text = _dumps(_reference_encode(payload))
     assert _identical(decode_state_value(json.loads(text)), _decoded_form(payload))
@@ -183,6 +194,23 @@ def test_format_one_text_decodes_to_the_same_payload(payload):
 def test_format_two_round_trips_losslessly(payload):
     encoded = encode_state_value(payload)
     assert "fsmap" not in _tags(encoded)
+    decoded = decode_state_value(json.loads(_dumps(encoded)))
+    assert _identical(decoded, _decoded_form(payload))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"__t": []},
+        {"__t": "fs", "v": [1, 2]},
+        {"__t": "nd", "dtype": "float64", "v": [0.5]},
+        {"__t": "smap", "v": {"__t": "imap"}},
+        {"a": [{"__t": None}], "__t": {"__t": "fsarr", "n": [], "m": []}},
+    ],
+)
+def test_str_keyed_dicts_with_a_tag_key_round_trip(payload):
+    encoded = encode_state_value(payload)
+    assert encoded["__t"] == "smap"
     decoded = decode_state_value(json.loads(_dumps(encoded)))
     assert _identical(decoded, _decoded_form(payload))
 
