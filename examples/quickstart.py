@@ -10,8 +10,9 @@ the oracle in one batch, so the vectorized backend trains the batch's
 coalitions in lockstep on stacked parameters while the estimated values stay
 bitwise-identical to serial execution (per-coalition training seeds are
 derived from the coalition itself, independent of evaluation order).  To
-spread trainings over several processes or hosts, use the fleet backend
-(``repro run --backend fleet --spawn-workers N``, see ``docs/fleet.md``).
+spread a campaign over several processes, run several ``repro run``
+processes over disjoint plans against one ``--store`` file (see
+``docs/store.md``).
 
 Run with::
 

@@ -8,7 +8,6 @@
 # anytime-valuation smoke (see scripts/anytime_smoke.sh) + the
 # large-federation smoke (see scripts/large_n_smoke.sh) + the
 # telemetry-neutrality smoke (see scripts/telemetry_smoke.sh) + the
-# fleet crash-recovery smoke (see scripts/fleet_smoke.sh) + the
 # valuation-service crash smoke (see scripts/service_smoke.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,5 +22,4 @@ bash scripts/vectorized_smoke.sh
 bash scripts/anytime_smoke.sh
 bash scripts/large_n_smoke.sh
 bash scripts/telemetry_smoke.sh
-bash scripts/fleet_smoke.sh
 bash scripts/service_smoke.sh

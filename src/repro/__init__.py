@@ -9,8 +9,7 @@ The package is organised in five layers:
 * :mod:`repro.core` — the valuation algorithms: exact Shapley schemes, the
   unified stratified sampling framework, K-Greedy, IPSS and nine baselines.
 * :mod:`repro.parallel` — batched coalition-evaluation engine: a batch-capable
-  utility oracle with serial, vectorized (lockstep) and fleet (multi-process)
-  executors.
+  utility oracle with serial and vectorized (lockstep) executors.
 * :mod:`repro.store` — persistent, content-addressed coalition-utility store
   (one SQLite file) shared across processes and runs.
 * :mod:`repro.scenarios` — composable client-behavior scenarios (free riders,
@@ -97,8 +96,7 @@ def quick_valuation(
     utility = CoalitionUtility(
         client_datasets=clients,
         test_dataset=test,
-        # partial, not a lambda: the oracle stays picklable, so this helper
-        # also works under the fleet backend's workers (RPR004).
+        # partial, not a lambda: the oracle stays picklable (RPR004).
         model_factory=partial(
             LogisticRegressionModel, n_features=8, n_classes=3, epochs=5
         ),

@@ -20,7 +20,7 @@ RPR002    ambient-state-read           no wall-clock/environment reads: content
                                        declared inputs
 RPR003    unstable-iteration-order     no numeric folds over hash-ordered set
                                        iteration; ``sorted(...)`` first
-RPR004    unpicklable-callable         callables crossing the fleet pickling
+RPR004    unpicklable-callable         callables crossing the pickling
                                        boundary must pickle (no lambdas or
                                        closures)
 RPR005    checkpoint-incomplete        incremental estimators keep all state in

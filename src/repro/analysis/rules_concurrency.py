@@ -18,29 +18,27 @@ from repro.analysis.rules import Rule, register_rule
 #: call/method names that hand a callable to an executor submission path
 _SUBMISSION_FUNCS = frozenset({"evaluate_batch", "map_utilities", "submit"})
 
-#: keyword arguments whose value crosses the process boundary (the evaluator
-#: the fleet pickles into its queue, the model factory a spec rebuilds in a
-#: worker)
+#: keyword arguments whose value crosses a process boundary when an oracle or
+#: task is pickled (the evaluator, the model factory a spec rebuilds)
 _PICKLED_KEYWORDS = frozenset({"evaluator", "model_factory"})
 
 
 @register_rule
 class UnpicklableCallable(Rule):
-    """RPR004 — callables crossing the fleet pickling boundary must pickle.
+    """RPR004 — callables crossing the pickling boundary must pickle.
 
     Lambdas and locally-defined functions cannot be pickled; handing one to an
     executor submission path, or storing one as a spec's ``model_factory`` /
-    an oracle's ``evaluator``, works under the in-process serial and
-    vectorized backends and then breaks the moment ``--backend fleet``
-    pickles the evaluator into its queue for worker processes.  Use a
-    module-level function or ``functools.partial`` — the round-trip contract
-    is pinned by ``tests/test_picklability.py``.
+    an oracle's ``evaluator``, works in-process and then breaks the moment
+    the oracle or task is pickled to another process.  Use a module-level
+    function or ``functools.partial`` — the round-trip contract is pinned by
+    ``tests/test_picklability.py``.
     """
 
     code = "RPR004"
     name = "unpicklable-callable"
     summary = (
-        "lambdas / local functions must not cross the fleet pickling boundary: use "
+        "lambdas / local functions must not cross the pickling boundary: use "
         "module-level functions or functools.partial "
         "(contract: tests/test_picklability.py)"
     )
@@ -93,8 +91,8 @@ class UnpicklableCallable(Rule):
             yield self.finding(
                 ctx,
                 value,
-                f"lambda passed to {where}: the fleet backend must pickle "
-                "this callable and lambdas cannot be pickled; use a "
+                f"lambda passed to {where}: this callable must pickle "
+                "and lambdas cannot be pickled; use a "
                 "module-level function or functools.partial "
                 "(see tests/test_picklability.py)",
             )
@@ -103,7 +101,7 @@ class UnpicklableCallable(Rule):
                 ctx,
                 value,
                 f"locally-defined function {value.id!r} passed to {where}: "
-                "closures cannot be pickled for fleet workers; hoist it "
+                "closures cannot be pickled; hoist it "
                 "to module level or use functools.partial "
                 "(see tests/test_picklability.py)",
             )
@@ -142,8 +140,8 @@ class UnlockedSharedMutation(Rule):
 
     A class that owns a lock (``self._lock`` or any lock-named attribute) has
     declared that its attributes are shared across threads (service job
-    threads and HTTP handlers share one store, fleet workers run a heartbeat
-    thread, and callers may share one oracle); every write to
+    threads and HTTP handlers share one store, and callers may share one
+    oracle); every write to
     ``self``-rooted state in its methods must then happen inside a
     ``with <lock>:`` block.  ``__init__``/``__post_init__`` run before the
     object is shared and are exempt, and a helper whose docstring states the

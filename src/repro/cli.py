@@ -22,12 +22,6 @@ Subcommands
     The anytime surface (see docs/anytime.md): early-stop rules per cell
     (``budget:64,ci:0.02,rank:2@top5,wallclock:30``), checkpoint cadence,
     and per-chunk progress/snapshot streaming.
-``repro worker <queue-dir>``
-    Serve a fleet lease queue (see docs/fleet.md): claim coalition batches,
-    evaluate them with a local executor, deposit utilities into the shared
-    persistent store, heartbeat the lease.  Pairs with
-    ``repro run --backend fleet --queue-dir DIR --store PATH`` on any
-    machine that shares the queue directory and store.
 ``repro serve <state-dir>``
     Run the valuation service (see docs/service.md): an HTTP/JSON job server
     where tenants POST valuation jobs, stream live snapshot events (SSE),
@@ -89,7 +83,6 @@ from typing import Optional, Sequence
 from repro.experiments.config import ExperimentScale
 from repro.experiments.pipeline import (
     DEFAULT_ALGORITHMS,
-    FLEET_FIELDS,
     ExperimentPlan,
     RunReport,
     available_algorithms,
@@ -101,8 +94,7 @@ from repro.core import parse_stopping_rule
 from repro.experiments.reporting import format_table
 from repro.experiments.specs import SYNTHETIC_SETUPS, TaskSpec, available_tasks
 from repro.experiments.tables import robustness_table
-from repro.fleet.coordinator import WORKER_BACKENDS
-from repro.parallel.executors import EXECUTOR_BACKENDS, IN_PROCESS_BACKENDS
+from repro.parallel.executors import EXECUTOR_BACKENDS
 from repro.scenarios import available_scenarios, get_scenario, run_robustness
 from repro.store import open_store
 from repro.telemetry import Telemetry, prometheus_text, read_journal
@@ -117,27 +109,25 @@ from repro.version import __version__
 _SCALE_NAMES = ("tiny", "small", "paper")
 
 
-def _add_backend_argument(
-    parser: argparse.ArgumentParser,
-    flag: str,
-    field_name: str,
-    choices: Sequence[str],
-    **kwargs,
-) -> None:
-    """Add a backend flag checked once, by its ``type=``: a retired name gets
-    the replacement spelled out instead of a bare "invalid choice"."""
+def _parse_backend(name: str) -> str:
+    """``--backend``'s ``type=``: a retired name gets the replacement spelled
+    out instead of a bare "invalid choice"."""
+    try:
+        check_backend(name)
+    except ValueError as error:
+        # argparse already names the flag
+        raise argparse.ArgumentTypeError(
+            str(error).removeprefix("backend: ")
+        ) from None
+    return name
 
-    def parse(name: str) -> str:
-        try:
-            check_backend(field_name, name, choices)
-        except ValueError as error:
-            # argparse already names the flag
-            message = str(error).removeprefix(f"{field_name}: ")
-            raise argparse.ArgumentTypeError(message) from None
-        return name
 
+def _add_backend_argument(parser: argparse.ArgumentParser, **kwargs) -> None:
     parser.add_argument(
-        flag, type=parse, metavar="{" + ",".join(choices) + "}", **kwargs
+        "--backend",
+        type=_parse_backend,
+        metavar="{" + ",".join(EXECUTOR_BACKENDS) + "}",
+        **kwargs,
     )
 
 
@@ -166,94 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_argument(
         run,
-        "--backend",
-        "backend",
-        EXECUTOR_BACKENDS,
         help="coalition-evaluation backend (default: serial); 'vectorized' "
-        "trains whole coalition batches in lockstep on stacked parameters, "
-        "'fleet' spreads them over worker processes — see "
-        "docs/performance.md",
-    )
-    run.add_argument(
-        "--queue-dir",
-        help="fleet backend only: shared lease-queue directory (created if "
-        "missing); workers join with `repro worker QUEUE_DIR`",
-    )
-    run.add_argument(
-        "--spawn-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fleet backend only: worker processes the run launches itself "
-        "(default 0: rely on externally started `repro worker` processes)",
-    )
-    _add_backend_argument(
-        run,
-        "--worker-backend",
-        "worker_backend",
-        WORKER_BACKENDS,
-        help="fleet backend only: executor each worker evaluates with "
-        "(default: serial)",
-    )
-    run.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="fleet backend only: batch lease duration; an expired lease "
-        "requeues the batch for another worker (default 30)",
+        "trains whole coalition batches in lockstep on stacked parameters — "
+        "see docs/performance.md",
     )
     run.add_argument("--resume", action="store_true", help="continue an existing run dir")
     _add_anytime_arguments(run)
     _add_store_arguments(run)
     _add_output_arguments(run)
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="serve a fleet lease queue: claim coalition batches, evaluate, "
-        "deposit into the shared store",
-    )
-    worker.add_argument("queue_dir", help="lease-queue directory shared with the run")
-    _add_backend_argument(
-        worker,
-        "--backend",
-        "backend",
-        WORKER_BACKENDS,
-        default="serial",
-        help="executor used inside this worker (default: serial)",
-    )
-    worker.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="lease duration requested per claim (default 30)",
-    )
-    worker.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        metavar="S",
-        help="sleep between claim attempts when the queue is empty",
-    )
-    worker.add_argument(
-        "--max-batches",
-        type=int,
-        metavar="N",
-        help="exit after serving N batches (default: unlimited)",
-    )
-    worker.add_argument(
-        "--idle-timeout",
-        type=float,
-        metavar="S",
-        help="exit after S seconds without claiming anything",
-    )
-    worker.add_argument(
-        "--stop-when-finished",
-        action="store_true",
-        help="exit once no active runs and no outstanding batches remain",
-    )
-    _add_output_arguments(worker)
 
     resume = subparsers.add_parser("resume", help="finish an interrupted run")
     resume.add_argument("--run-dir", required=True)
@@ -309,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--stop-on", metavar="SPEC")
     submit.add_argument("--checkpoint-every", type=int, default=1, metavar="N")
-    # Service jobs run in the server's process; it refuses fleet jobs.
-    _add_backend_argument(submit, "--backend", "backend", IN_PROCESS_BACKENDS)
+    _add_backend_argument(submit)
     submit.add_argument(
         "--wait", action="store_true", help="block until the job is terminal"
     )
@@ -507,35 +416,14 @@ def _open_store_arg(args) -> Optional[object]:
     return open_store(args.store)
 
 
-def _fleet_overrides(args) -> dict:
-    """Fleet execution flags, normalised for dataclasses.replace / the plan."""
-    overrides = {}
-    if getattr(args, "queue_dir", None):
-        overrides["queue_dir"] = args.queue_dir
-    if getattr(args, "spawn_workers", 0):
-        overrides["spawn_workers"] = args.spawn_workers
-    if getattr(args, "worker_backend", None):
-        overrides["worker_backend"] = args.worker_backend
-    if getattr(args, "lease_seconds", 30.0) != 30.0:
-        overrides["lease_seconds"] = args.lease_seconds
-    return overrides
-
-
 def _plan_from_args(args) -> ExperimentPlan:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             plan = ExperimentPlan.from_dict(json.load(handle))
-        overrides = _fleet_overrides(args)
         if args.backend:
             # Executor choice is machine-local, not plan content: a CLI
             # override neither changes values nor the plan fingerprint.
-            # Leaving the fleet drops the plan's fleet fields with it; fleet
-            # flags given alongside a non-fleet backend are still rejected.
-            if args.backend != "fleet":
-                overrides = {**dict(FLEET_FIELDS), **overrides}
-            overrides["backend"] = args.backend
-        if overrides:
-            plan = dataclasses.replace(plan, **overrides)
+            plan = dataclasses.replace(plan, backend=args.backend)
         return plan
     task = args.task or "adult"
     spec = TaskSpec(
@@ -550,7 +438,6 @@ def _plan_from_args(args) -> ExperimentPlan:
         tasks=(spec,),
         algorithms=_algorithms_from_args(args) or DEFAULT_ALGORITHMS,
         backend=args.backend,
-        **_fleet_overrides(args),
     )
 
 
@@ -720,47 +607,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    """``repro worker QUEUE_DIR``: serve a fleet lease queue until told to stop."""
-    from repro.fleet.worker import run_worker
-
-    if not os.path.isdir(args.queue_dir):
-        raise ValueError(
-            f"queue directory {args.queue_dir!r} does not exist; start the "
-            "coordinating run (repro run --backend fleet --queue-dir ...) "
-            "first, or create the directory"
-        )
-    quiet = args.json
-    stats = run_worker(
-        args.queue_dir,
-        backend=args.backend,
-        lease_seconds=args.lease_seconds,
-        poll_interval=args.poll_interval,
-        max_batches=args.max_batches,
-        idle_timeout=args.idle_timeout,
-        stop_when_finished=args.stop_when_finished,
-        log=None if quiet else lambda message: print(message, file=sys.stderr),
-    )
-    payload = {
-        "worker_id": stats.worker_id,
-        "batches": stats.batches,
-        "trainings": stats.trainings,
-        "store_hits": stats.store_hits,
-        "released": stats.released,
-        "renewals_lost": stats.renewals_lost,
-        "runs_seen": stats.runs_seen,
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(
-            f"worker {stats.worker_id}: {stats.batches} batches, "
-            f"{stats.trainings} trainings, {stats.store_hits} store hits, "
-            f"{stats.released} released"
-        )
-    return 0
-
-
 def _cmd_run_scenarios(args) -> int:
     """``repro run --scenario a,b``: the robustness-harness face of ``run``."""
     if args.config:
@@ -804,7 +650,6 @@ def _cmd_run_scenarios(args) -> int:
             on_snapshot=callback,
             telemetry=telemetry,
             backend=args.backend,
-            **_fleet_overrides(args),
         )
     finally:
         _close_callback(callback)
@@ -1203,7 +1048,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "run": _cmd_run,
         "resume": _cmd_resume,
-        "worker": _cmd_worker,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,

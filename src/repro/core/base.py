@@ -52,8 +52,8 @@ class SupportsBatchEvaluation(Protocol):
     ``evaluate_batch`` receives a sequence of coalitions and returns
     ``{coalition: utility}`` with keys in first-appearance input order; see
     :class:`repro.parallel.BatchUtilityOracle` for the reference
-    implementation (deduplication, caching, and a serial, vectorized or
-    fleet executor behind a single call).
+    implementation (deduplication, caching, and a serial or vectorized
+    executor behind a single call).
     """
 
     def evaluate_batch(

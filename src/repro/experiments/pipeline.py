@@ -34,7 +34,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -160,45 +160,55 @@ def load_estimator_checkpoint(
 
 #: executor backends that were removed: old plans, job specs and scripts
 #: still name them, so they fail with the replacement spelled out
-RETIRED_BACKENDS = ("thread", "process")
+RETIRED_BACKENDS = ("thread", "process", "fleet")
 
-#: ``(field, default)`` of the execution fields only the fleet backend reads
-FLEET_FIELDS = (
-    ("queue_dir", None),
-    ("spawn_workers", 0),
-    ("worker_backend", None),
-    ("lease_seconds", 30.0),
+#: execution fields only the retired fleet backend read
+RETIRED_FLEET_FIELDS = (
+    "queue_dir",
+    "spawn_workers",
+    "worker_backend",
+    "lease_seconds",
+)
+
+#: what replaces a retired backend
+RETIRED_HINT = (
+    "use 'vectorized' to train batches in lockstep in one process; to spread "
+    "a campaign over processes, run several `repro run` processes over "
+    "disjoint plans sharing one --store"
 )
 
 
-def check_backend(field_name: str, name: str, choices: Sequence[str]) -> None:
-    """Reject a backend name outside ``choices``, naming the field.
+def check_backend(name: str) -> None:
+    """Reject a backend name outside ``EXECUTOR_BACKENDS``, naming the field.
 
-    A retired name gets its replacements spelled out, naming only the
-    backends in ``choices``.
+    A retired name gets its replacements spelled out.
     """
     if name in RETIRED_BACKENDS:
-        hint = "use 'vectorized' to train batches in lockstep in one process"
-        if "fleet" in choices:
-            hint += (
-                ", or 'fleet --spawn-workers N' to evaluate across N worker "
-                "processes"
-            )
-        raise ValueError(f"{field_name}: the {name!r} backend was removed; {hint}")
-    if name not in choices:
+        raise ValueError(f"backend: the {name!r} backend was removed; {RETIRED_HINT}")
+    if name not in EXECUTOR_BACKENDS:
         raise ValueError(
-            f"{field_name}: unknown {field_name.replace('_', ' ')} {name!r}; "
-            f"choose from {tuple(choices)}"
+            f"backend: unknown backend {name!r}; choose from {EXECUTOR_BACKENDS}"
         )
 
 
-def fleet_fields(execution) -> dict:
-    """The fleet-only fields of a plan or job spec that differ from default."""
-    return {
-        name: getattr(execution, name)
-        for name, default in FLEET_FIELDS
-        if getattr(execution, name) != default
-    }
+def check_fields(kind: str, payload: dict, known: set) -> None:
+    """Reject fields of a plan or job-spec payload outside ``known``.
+
+    A typo in a plan file ("algorithm" for "algorithms") must fail loudly,
+    not silently run hours of the default campaign; a field of a retired
+    backend gets its replacement spelled out.
+    """
+    unknown = set(payload) - known
+    if not unknown:
+        return
+    message = f"unknown {kind} fields: {sorted(unknown)}"
+    retired = sorted(unknown.intersection(RETIRED_FLEET_FIELDS))
+    if retired:
+        message += (
+            f"; {', '.join(retired)} configured the removed 'fleet' backend: "
+            f"{RETIRED_HINT}"
+        )
+    raise ValueError(message)
 
 
 def drop_legacy_n_workers(payload: dict) -> dict:
@@ -215,9 +225,8 @@ def drop_legacy_n_workers(payload: dict) -> dict:
     if value != 1:
         raise ValueError(
             f"n_workers: {value!r} is not supported; the field was removed "
-            "with the pooled backends and only its legacy value 1 still "
-            "loads.  Use backend 'vectorized', or 'fleet --spawn-workers N' "
-            "for N worker processes"
+            f"with the pooled backends and only its legacy value 1 still "
+            f"loads; {RETIRED_HINT}"
         )
     return payload
 
@@ -227,68 +236,43 @@ def stored_execution(payload: dict) -> dict:
     the version that wrote it actually ran.
 
     The strict checks are for submitted input.  A run manifest or a job row
-    written while the pooled backends existed must still load, so:
+    written while the retired backends existed must still load, so:
 
     * ``n_workers`` (any value) sized a pool that no longer exists: dropped;
-    * a retired ``backend``/``worker_backend`` becomes ``'serial'``, which
-      evaluates the same coalitions to the same values;
-    * fleet-only fields next to a non-fleet backend were ignored: dropped.
+    * ``backend: 'fleet'`` becomes its stored ``worker_backend`` (default
+      ``'serial'``), the executor its workers evaluated with, and the fleet
+      fields are dropped;
+    * any other retired backend becomes ``'serial'``.
+
+    Every backend evaluates the same coalitions to the same values, so the
+    mapped record resumes bitwise.
     """
     payload = dict(payload)
     payload.pop("n_workers", None)
-    for field_name in ("backend", "worker_backend"):
-        if payload.get(field_name) in RETIRED_BACKENDS:
-            payload[field_name] = "serial"
-    if payload.get("backend") != "fleet":
-        for name, _default in FLEET_FIELDS:
-            payload.pop(name, None)
+    if payload.get("backend") == "fleet":
+        payload["backend"] = payload.get("worker_backend") or "serial"
+    for name in RETIRED_FLEET_FIELDS:
+        payload.pop(name, None)
+    if payload.get("backend") in RETIRED_BACKENDS:
+        payload["backend"] = "serial"
     return payload
 
 
 def validate_execution(execution) -> None:
-    """Reject bad execution fields of a plan or job spec, naming the field.
+    """Reject a bad ``backend`` of a plan or job spec, naming the field.
 
     ``execution`` is an :class:`ExperimentPlan` or a
-    :class:`~repro.service.models.JobSpec`: both carry the same five
-    machine-local execution choices (``backend`` and the fleet-only
-    ``queue_dir``, ``spawn_workers``, ``worker_backend``,
-    ``lease_seconds``), checked here once for both.
+    :class:`~repro.service.models.JobSpec`: both carry the same
+    machine-local executor choice, checked here once for both.
     """
     if execution.backend is not None:
-        check_backend("backend", execution.backend, EXECUTOR_BACKENDS)
-    if execution.backend != "fleet":
-        given = list(fleet_fields(execution))
-        if given:
-            raise ValueError(
-                f"{', '.join(given)}: fleet-only, but backend is "
-                f"{execution.backend!r}; set backend 'fleet' or drop "
-                f"{'it' if len(given) == 1 else 'them'}"
-            )
-        return
-    if not execution.queue_dir:
-        raise ValueError(
-            "backend 'fleet' needs a queue directory (queue_dir= / "
-            "--queue-dir) shared with its workers"
-        )
-    if execution.spawn_workers < 0:
-        raise ValueError(
-            f"spawn_workers must be >= 0, got {execution.spawn_workers}"
-        )
-    if execution.lease_seconds <= 0:
-        raise ValueError(
-            f"lease_seconds must be > 0, got {execution.lease_seconds}"
-        )
-    if execution.worker_backend is not None:
-        from repro.fleet.coordinator import WORKER_BACKENDS
-
-        check_backend("worker_backend", execution.worker_backend, WORKER_BACKENDS)
+        check_backend(execution.backend)
 
 
 def build_cell_utility(
     spec: TaskSpec,
     store,
     execution,
-    say: Callable[[str], None],
     telemetry: Optional[Telemetry] = None,
 ):
     """Build the utility oracle cells of ``spec`` run against.
@@ -300,22 +284,7 @@ def build_cell_utility(
     """
     utility = spec.build(store)
     try:
-        if execution.backend == "fleet":
-            # The fleet backend is not name-constructible (it needs the
-            # queue directory), so build the instance here; the oracle's
-            # bind_store hook then ships the store identity to workers.
-            from repro.fleet.coordinator import FleetExecutor
-
-            utility.set_executor(
-                FleetExecutor(
-                    queue_dir=execution.queue_dir,
-                    spawn_workers=execution.spawn_workers,
-                    worker_backend=execution.worker_backend or "serial",
-                    lease_seconds=execution.lease_seconds,
-                    log=say,
-                )
-            )
-        elif execution.backend is not None:
+        if execution.backend is not None:
             utility.set_executor(execution.backend)
         if telemetry is not None:
             utility.set_telemetry(telemetry)
@@ -346,24 +315,14 @@ class ExperimentPlan:
     algorithm runs on every task, and each (task, algorithm) pair is one
     resumable cell.  ``backend`` picks the coalition-evaluation executor
     (:data:`~repro.parallel.executors.EXECUTOR_BACKENDS`; ``None`` keeps the
-    oracle's serial default) and is recorded in the manifest.
-
-    The ``fleet`` backend additionally needs ``queue_dir`` (the shared lease
-    queue directory) and accepts ``spawn_workers`` (worker processes the run
-    launches itself; 0 relies on external ``repro worker`` processes),
-    ``worker_backend`` (each worker's internal executor) and
-    ``lease_seconds``; other backends reject these fields.  All of them are
-    machine-local execution choices that never enter the plan fingerprint.
+    oracle's serial default) and is recorded in the manifest.  It is a
+    machine-local execution choice that never enters the plan fingerprint.
     """
 
     tasks: tuple
     algorithms: tuple = DEFAULT_ALGORITHMS
     name: str = "run"
     backend: Optional[str] = None
-    queue_dir: Optional[str] = None
-    spawn_workers: int = 0
-    worker_backend: Optional[str] = None
-    lease_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -380,9 +339,7 @@ class ExperimentPlan:
     def fingerprint(self) -> str:
         """Content address of the plan (tasks + algorithms, not concurrency).
 
-        ``backend``, ``name`` and the fleet execution fields
-        (``queue_dir``, ``spawn_workers``, ``worker_backend``,
-        ``lease_seconds``) are deliberately excluded: resuming a campaign on
+        ``backend`` and ``name`` are deliberately excluded: resuming a campaign on
         a beefier machine, under a different label or on a different
         executor must not invalidate its completed cells — the backends are
         value-equivalent (see ``docs/performance.md``).
@@ -412,26 +369,21 @@ class ExperimentPlan:
         }
         if self.backend is not None:
             payload["backend"] = self.backend
-        payload.update(fleet_fields(self))
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentPlan":
-        unknown = set(payload) - {
-            "name",
-            "tasks",
-            "algorithms",
-            "n_workers",  # legacy, see drop_legacy_n_workers
-            "backend",
-            "queue_dir",
-            "spawn_workers",
-            "worker_backend",
-            "lease_seconds",
-        }
-        if unknown:
-            # A typo in a plan file ("algorithm" for "algorithms") must fail
-            # loudly, not silently run hours of the default campaign.
-            raise ValueError(f"unknown ExperimentPlan fields: {sorted(unknown)}")
+        check_fields(
+            "ExperimentPlan",
+            payload,
+            {
+                "name",
+                "tasks",
+                "algorithms",
+                "n_workers",  # legacy, see drop_legacy_n_workers
+                "backend",
+            },
+        )
         payload = drop_legacy_n_workers(payload)
         if "tasks" not in payload:
             raise ValueError("an ExperimentPlan requires a 'tasks' list")
@@ -440,10 +392,6 @@ class ExperimentPlan:
             algorithms=tuple(payload.get("algorithms", DEFAULT_ALGORITHMS)),
             name=payload.get("name", "run"),
             backend=payload.get("backend"),
-            queue_dir=payload.get("queue_dir"),
-            spawn_workers=int(payload.get("spawn_workers", 0)),
-            worker_backend=payload.get("worker_backend"),
-            lease_seconds=float(payload.get("lease_seconds", 30.0)),
         )
 
 
@@ -590,11 +538,6 @@ def run_plan(
 
     report = RunReport(run_dir=run_dir, plan=plan)
     opened_store, owns_store = resolve_store(store)
-    if plan.backend == "fleet" and opened_store is None:
-        raise ValueError(
-            "backend 'fleet' needs a persistent utility store shared with "
-            "its workers (--store PATH / store=...)"
-        )
     if telemetry is not None and opened_store is not None:
         opened_store.set_telemetry(telemetry)
     run_span = (
@@ -804,7 +747,7 @@ def _run_task_cells(
     results: Dict[str, dict] = {}
     try:
         if pending:
-            utility = build_cell_utility(spec, store, plan, say, telemetry)
+            utility = build_cell_utility(spec, store, plan, telemetry)
         for algorithm_name in plan.algorithms:
             this_cell = cell_ids[algorithm_name]
             recorded = manifest["cells"].get(this_cell)

@@ -44,17 +44,15 @@ class CoalitionUtility(BatchUtilityOracle):
         Base seed making coalition training deterministic.
     executor:
         Backend for batched evaluation (``evaluate_batch``): ``"serial"``,
-        ``"vectorized"``, an existing executor instance (a
-        :class:`~repro.fleet.FleetExecutor` needs a picklable model factory
-        — no lambdas), or ``None`` for serial.  The vectorized backend
-        trains miss batches in lockstep on stacked parameter matrices when
-        the model supports it (linear, logistic, MLP) and falls back to the
-        serial loop otherwise — see ``docs/performance.md`` for the backend
-        matrix.
+        ``"vectorized"``, an existing executor instance, or ``None`` for
+        serial.  The vectorized backend trains miss batches in lockstep on
+        stacked parameter matrices when the model supports it (linear,
+        logistic, MLP) and falls back to the serial loop otherwise — see
+        ``docs/performance.md`` for the backend matrix.
     store:
         Optional persistent utility store (instance or path) beneath the
         memo: trained utilities are written through and survive the process,
-        so a rerun — or a sibling worker process — serves them with zero FL
+        so a rerun — or a sibling ``repro run`` process — serves them with zero FL
         trainings.  See :mod:`repro.store`.
     store_namespace:
         Content-address namespace (a task fingerprint) for this oracle's

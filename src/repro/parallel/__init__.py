@@ -7,13 +7,12 @@ they need.  This package turns that structure into throughput:
 * :class:`BatchUtilityOracle` — a utility oracle that accepts whole coalition
   batches, deduplicates them against a concurrency-safe cache and hands the
   misses to one executor call;
-* :mod:`repro.parallel.executors` — the serial / vectorized / fleet backends
-  behind it, all order-deterministic.  In one process, the vectorized
-  backend trains the whole miss batch in lockstep on stacked parameter
-  matrices (:mod:`repro.fl.vectorized`); across processes or hosts, the
-  fleet backend (:mod:`repro.fleet`) drains miss batches through a durable
-  shared lease queue served by independent worker processes; see
-  ``docs/performance.md`` for the backend matrix.
+* :mod:`repro.parallel.executors` — the serial / vectorized backends behind
+  it, both order-deterministic.  The vectorized backend trains the whole
+  miss batch in lockstep on stacked parameter matrices
+  (:mod:`repro.fl.vectorized`); see ``docs/performance.md`` for the backend
+  matrix.  Across processes, several ``repro run`` processes share one
+  SQLite utility store (:mod:`repro.store`).
 
 The valuation algorithms request their coalition batches through
 :meth:`repro.core.base.ValuationAlgorithm._batch_utilities`, which detects

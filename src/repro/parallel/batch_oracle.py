@@ -27,13 +27,13 @@ that provides
 ``evaluate_batch(coalitions) -> dict[frozenset, float]``
 
 (keys in first-appearance input order) gets handed every pre-enumerated
-coalition set in one call and may train it in lockstep or across fleet
-workers; a plain callable is fed the same coalitions one at a time, in the
-same order — so results are bitwise-identical either way.  That is only
-sound because per-coalition training seeds are content-derived and
-collision-resistant (:meth:`repro.fl.federation.FederatedTrainer._coalition_seed`):
-no matter which worker trains a coalition, or in which order, it trains the
-same model.
+coalition set in one call and may train it in lockstep; a plain callable is
+fed the same coalitions one at a time, in the same order — so results are
+bitwise-identical either way.  That is only sound because per-coalition
+training seeds are content-derived and collision-resistant
+(:meth:`repro.fl.federation.FederatedTrainer._coalition_seed`): no matter
+which process trains a coalition, or in which order, it trains the same
+model.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class BatchUtilityOracle:
         Number of clients; inferred from ``evaluator.n_clients`` when absent.
     executor:
         Backend name (``"serial"``/``"vectorized"``), an existing
-        :class:`~repro.parallel.executors.CoalitionExecutor` (such as a
-        :class:`~repro.fleet.FleetExecutor`), or ``None`` for serial.  The
+        :class:`~repro.parallel.executors.CoalitionExecutor`, or ``None`` for
+        serial.  The
         vectorized backend trains miss batches in lockstep on stacked
         parameters when the evaluator is a bound
         :class:`~repro.fl.federation.FederatedTrainer` method with a
@@ -141,7 +141,7 @@ class BatchUtilityOracle:
         self._tokens: dict[frozenset, str] = {}
         self._accounting = Accounting()
         # Single lookups evaluate inline, whatever the batch backend: one
-        # coalition never goes to the fleet or the vectorized engine.
+        # coalition never goes to the vectorized engine.
         self._inline = SerialExecutor()
         self._executor: Optional[CoalitionExecutor] = None
         self._store: Optional[UtilityStore] = None
@@ -329,9 +329,6 @@ class BatchUtilityOracle:
         previous = self._executor
         resolved = make_executor(executor)
         resolved.set_telemetry(self._telemetry)
-        # Store-aware backends (fleet) need the persistent tier's identity to
-        # ship work to sibling processes; a no-op for everyone else.
-        resolved.bind_store(self._store, self._namespace)
         with self._lock:
             self._executor = resolved
         if previous is not None and previous is not resolved:
@@ -359,8 +356,7 @@ class BatchUtilityOracle:
     def close(self) -> None:
         """Release the executor's workers and any store this oracle opened.
 
-        An executor that owns workers (fleet) starts them again if the
-        oracle is used again; a store that was passed in as a path (and
+        A store that was passed in as a path (and
         therefore opened — and owned — by this oracle) is closed for good.
         Stores passed in as instances belong to the caller and are left open.
         """
@@ -401,9 +397,6 @@ class BatchUtilityOracle:
                 self._namespace = namespace
         if previous is not None and previous is not resolved:
             previous.close()
-        if self._executor is not None:
-            # Keep store-aware backends (fleet) pointed at the live tier.
-            self._executor.bind_store(self._store, self._namespace)
 
     # ------------------------------------------------------------------ #
     # Cost accounting

@@ -1,7 +1,8 @@
 """Pluggable execution backends for batched coalition evaluation.
 
 A coalition executor maps an evaluator over a list of coalitions and returns
-the utilities *in input order*.  Three backends are provided:
+the utilities *in input order*.  Two backends are provided, both in the
+calling process:
 
 * :class:`SerialExecutor` — plain loop; the reference semantics.
 * :class:`VectorizedExecutor` — trains the whole batch in lockstep as
@@ -9,20 +10,15 @@ the utilities *in input order*.  Three backends are provided:
   looping per coalition; no workers at all.  Falls back to the serial loop
   for evaluators the vectorized engine cannot handle (plain game functions,
   non-parametric/CNN models, partial client participation).
-* ``FleetExecutor`` (:mod:`repro.fleet.coordinator`, re-exported here) —
-  enqueues miss batches onto a durable shared lease queue and blocks on
-  results deposited through the persistent utility store, so any number of
-  worker *processes or hosts* (``repro worker <queue-dir>``, or workers the
-  run spawns itself) drain one coalition plan.  This is the multi-process
-  path.  It needs a queue directory and a disk-backed store, so
-  :func:`make_executor` cannot conjure one from the bare name — construct
-  it explicitly (or use ``repro run --backend fleet --queue-dir ...``).
+
+Work spreads over processes one level up: several ``repro run`` processes
+over disjoint plans share one SQLite utility store (see ``docs/store.md``).
 
 All backends are deterministic in *values*: utilities depend only on the
 coalition (per-coalition seeds are content-derived, see
 :meth:`repro.fl.federation.FederatedTrainer._coalition_seed`), and results are
-re-associated with their coalitions by position, so the evaluation order and
-worker assignment cannot change what any algorithm computes.  The vectorized
+re-associated with their coalitions by position, so the evaluation order
+cannot change what any algorithm computes.  The vectorized
 backend additionally replays the serial path seed-for-seed; its equivalence
 policy is documented in ``docs/performance.md``.
 """
@@ -39,13 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Evaluator = Callable[[frozenset], float]
 
-#: backends that evaluate inside the calling process: what a fleet worker
-#: or a service job runs on
-IN_PROCESS_BACKENDS = ("serial", "vectorized")
-
-#: registered backend names; all but "fleet" are constructible by
-#: :func:`make_executor` from the bare name (fleet needs a queue directory)
-EXECUTOR_BACKENDS = IN_PROCESS_BACKENDS + ("fleet",)
+#: registered backend names, each constructible by :func:`make_executor`
+EXECUTOR_BACKENDS = ("serial", "vectorized")
 
 
 class CoalitionExecutor(abc.ABC):
@@ -76,16 +67,6 @@ class CoalitionExecutor(abc.ABC):
         engines (vectorized) propagate it further.
         """
         self.telemetry = telemetry
-
-    def bind_store(self, store, namespace) -> None:
-        """Receive the oracle's persistent store and namespace.
-
-        The oracle calls this whenever executor or store change.  Most
-        backends ignore it (the oracle reads and writes the store itself);
-        the fleet backend needs it to ship the store's location to worker
-        processes and to read results back.  Observational for everyone
-        else — the base implementation is a no-op.
-        """
 
     def close(self) -> None:
         """Release any worker resources (no-op for stateless executors)."""
@@ -225,24 +206,6 @@ def make_executor(executor: ExecutorLike = None) -> CoalitionExecutor:
         return SerialExecutor()
     if executor == "vectorized":
         return VectorizedExecutor()
-    if executor == "fleet":
-        raise ValueError(
-            "the fleet backend cannot be constructed from its bare name: it "
-            "needs a queue directory (and a disk-backed store).  Construct "
-            "repro.fleet.FleetExecutor(queue_dir=...) and pass the instance, "
-            "or use `repro run --backend fleet --queue-dir DIR --store PATH`"
-        )
     raise ValueError(
         f"unknown executor backend {executor!r}; choose from {EXECUTOR_BACKENDS}"
     )
-
-
-def __getattr__(name: str):
-    # FleetExecutor lives in repro.fleet (which imports this module); the
-    # lazy re-export keeps `from repro.parallel.executors import
-    # FleetExecutor` working without a circular import.
-    if name == "FleetExecutor":
-        from repro.fleet.coordinator import FleetExecutor
-
-        return FleetExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

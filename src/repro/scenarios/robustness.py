@@ -136,15 +136,13 @@ def build_robustness_plan(
     scale: str = "tiny",
     seed: int = 0,
     name: str = "robustness",
-    **execution,
+    backend: Optional[str] = None,
 ):
     """The (clean ∪ adversarial) task grid of a robustness campaign, as a plan.
 
     Clean counterparts are deduplicated by content fingerprint, so scenarios
     sharing a base recipe contribute a single set of clean cells.
-    ``execution`` holds the plan's machine-local execution fields
-    (``backend`` and the fleet's ``queue_dir``, ``spawn_workers``,
-    ``worker_backend``, ``lease_seconds``; see
+    ``backend`` is the plan's executor choice (see
     :class:`~repro.experiments.pipeline.ExperimentPlan`).
     """
     from repro.experiments.pipeline import DEFAULT_ALGORITHMS, ExperimentPlan
@@ -179,7 +177,7 @@ def build_robustness_plan(
         tasks=tuple(specs),
         algorithms=tuple(algorithms) if algorithms else DEFAULT_ALGORITHMS,
         name=name,
-        **execution,
+        backend=backend,
     )
     return plan, pairs
 
@@ -206,7 +204,7 @@ def run_robustness(
     checkpoint_every: int = 1,
     on_snapshot=None,
     telemetry=None,
-    **execution,
+    backend: Optional[str] = None,
 ) -> RobustnessReport:
     """Run an algorithm × scenario grid and score every cell's robustness.
 
@@ -222,7 +220,7 @@ def run_robustness(
     :func:`~repro.experiments.pipeline.run_plan`: cells can stop early on a
     convergence rule (their robustness is then scored on the early-stopped
     values) and interrupted cells resume from their estimator checkpoints.
-    ``execution`` picks the backend as in :func:`build_robustness_plan`.
+    ``backend`` picks the executor as in :func:`build_robustness_plan`.
     """
     from repro.experiments.pipeline import cell_id, load_manifest, run_plan
 
@@ -232,7 +230,7 @@ def run_robustness(
         model=model,
         scale=scale,
         seed=seed,
-        **execution,
+        backend=backend,
     )
     run_report = run_plan(
         plan,

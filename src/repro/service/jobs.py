@@ -1,11 +1,10 @@
 """The service's durable job queue: one WAL-SQLite file of job rows.
 
-Built on the same durable-state core as the fleet's
-:class:`~repro.fleet.queue.LeaseQueue` (:class:`~repro.store.sqlite.DurableState`:
-one connection behind a process lock, retrying write-locking transactions,
-the trainings ledger) but a different protocol: jobs are *claimed by in-process
-scheduler workers*, not leased to remote processes, so there are no lease
-deadlines — a crashed server leaves rows in ``running`` and
+Built on the durable-state core :class:`~repro.store.sqlite.DurableState`
+(one connection behind a process lock, retrying write-locking transactions,
+the trainings ledger).  Jobs are *claimed by in-process scheduler workers*,
+not leased to remote processes, so there are no lease deadlines — a crashed
+server leaves rows in ``running`` and
 :meth:`JobStore.recover` requeues them on restart (their checkpoints carry
 the actual progress).
 

@@ -3,8 +3,8 @@
 Each running job sees the shared utility store through a
 :class:`~repro.store.sqlite.RecordingStore` that ledgers every write under
 the job's id in :class:`~repro.service.jobs.JobStore`.  The class lives with
-the durable-state core so fleet workers write their ledger rows the same
-way; this module keeps the service's import path.
+the durable-state core it records into; this module keeps the service's
+import path.
 """
 
 from repro.store.sqlite import RecordingStore

@@ -30,15 +30,12 @@ from typing import Any, Dict, Optional
 
 from repro.core import parse_stopping_rule
 from repro.experiments.pipeline import (
-    RETIRED_BACKENDS,
     available_algorithms,
-    check_backend,
+    check_fields,
     drop_legacy_n_workers,
-    fleet_fields,
     validate_execution,
 )
 from repro.experiments.specs import TaskSpec
-from repro.parallel.executors import IN_PROCESS_BACKENDS
 from repro.store import fingerprint
 
 #: terminal statuses: the job will never run again
@@ -91,16 +88,8 @@ class JobSpec:
         then cannot be gracefully preempted or crash-recovered mid-run).
     backend:
         Executor backend for coalition evaluation inside this job:
-        ``"serial"`` or ``"vectorized"``.  The spec validates like an
-        :class:`~repro.experiments.pipeline.ExperimentPlan`, so ``"fleet"``
-        parses, but :meth:`ValuationService.submit
-        <repro.service.scheduler.ValuationService.submit>` rejects it (see
-        :func:`check_service_backend`).
-    queue_dir / spawn_workers / worker_backend / lease_seconds:
-        Fleet-backend execution coordinates, same semantics as
-        :class:`~repro.experiments.pipeline.ExperimentPlan`; rejected unless
-        ``backend`` is ``"fleet"``.  They let job rows stored by older
-        versions, which accepted fleet jobs, load and fail with a named cause.
+        ``"serial"`` or ``"vectorized"``, validated like an
+        :class:`~repro.experiments.pipeline.ExperimentPlan`'s.
     """
 
     task: Dict[str, Any]
@@ -110,10 +99,6 @@ class JobSpec:
     stop_on: Optional[str] = None
     checkpoint_every: int = 1
     backend: Optional[str] = None
-    queue_dir: Optional[str] = None
-    spawn_workers: int = 0
-    worker_backend: Optional[str] = None
-    lease_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         # Validate eagerly: a bad job must be rejected at submit time with an
@@ -137,9 +122,6 @@ class JobSpec:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.backend in RETIRED_BACKENDS:
-            # Name only the backends a job can run on in the hint.
-            check_backend("backend", self.backend, IN_PROCESS_BACKENDS)
         validate_execution(self)
 
     # ------------------------------------------------------------------ #
@@ -174,32 +156,28 @@ class JobSpec:
             payload["stop_on"] = self.stop_on
         if self.backend is not None:
             payload["backend"] = self.backend
-        payload.update(fleet_fields(self))
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
         if not isinstance(payload, dict):
             raise ValueError(f"a job spec must be a JSON object, got {type(payload).__name__}")
-        allowed = {
-            "task",
-            "algorithm",
-            "tenant",
-            "priority",
-            "stop_on",
-            "checkpoint_every",
-            "backend",
-            "n_workers",  # legacy, see drop_legacy_n_workers
-            "queue_dir",
-            "spawn_workers",
-            "worker_backend",
-            "lease_seconds",
-        }
-        unknown = set(payload) - allowed
-        if unknown:
-            # A typo ("algorithms" for "algorithm") must fail the submit, not
-            # silently run the default and bill the tenant for it.
-            raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
+        # A typo ("algorithms" for "algorithm") must fail the submit, not
+        # silently run the default and bill the tenant for it.
+        check_fields(
+            "JobSpec",
+            payload,
+            {
+                "task",
+                "algorithm",
+                "tenant",
+                "priority",
+                "stop_on",
+                "checkpoint_every",
+                "backend",
+                "n_workers",  # legacy, see drop_legacy_n_workers
+            },
+        )
         missing = {"task", "algorithm"} - set(payload)
         if missing:
             raise ValueError(f"a job spec requires fields: {sorted(missing)}")
@@ -212,30 +190,7 @@ class JobSpec:
             stop_on=payload.get("stop_on"),
             checkpoint_every=int(payload.get("checkpoint_every", 1)),
             backend=payload.get("backend"),
-            queue_dir=payload.get("queue_dir"),
-            spawn_workers=int(payload.get("spawn_workers", 0)),
-            worker_backend=payload.get("worker_backend"),
-            lease_seconds=float(payload.get("lease_seconds", 30.0)),
         )
-
-
-#: why a service job cannot use the fleet backend
-FLEET_JOB_UNSUPPORTED = (
-    "backend 'fleet' cannot run service jobs: the service wraps each job's "
-    "store in a RecordingStore for its trainings ledger, and fleet workers "
-    "can only open a SQLite store file; run fleet valuations with "
-    "`repro run --backend fleet --queue-dir DIR --store PATH`"
-)
-
-
-def check_service_backend(spec: JobSpec) -> None:
-    """Raise ``ValueError`` if the service cannot run ``spec``'s backend.
-
-    Checked at submit and again when a job starts, so a queued fleet row
-    stored by an older version ends ``failed`` with the same message.
-    """
-    if spec.backend == "fleet":
-        raise ValueError(FLEET_JOB_UNSUPPORTED)
 
 
 @dataclass

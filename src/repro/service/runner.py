@@ -44,7 +44,7 @@ from repro.experiments.pipeline import (
     execute_cell,
 )
 from repro.service.ledger import RecordingStore
-from repro.service.models import JobRecord, check_service_backend
+from repro.service.models import JobRecord
 from repro.store.base import UtilityStore
 from repro.utils.jsonio import write_json_atomic
 
@@ -96,7 +96,6 @@ def run_job(
     job store's ledger hook.
     """
     spec = record.spec
-    check_service_backend(spec)  # a fleet row stored by an older version
     task_spec = spec.task_spec()
     job_id = record.job_id
     ckpt = checkpoint_path(state_dir, job_id)
@@ -105,7 +104,7 @@ def run_job(
     progress: dict = {"first_snapshot": None, "chunks": 0}
 
     recording = RecordingStore(store, record_training, job_id)
-    utility = build_cell_utility(task_spec, recording, spec, say, telemetry)
+    utility = build_cell_utility(task_spec, recording, spec, telemetry)
 
     def outcome(status: str, result: Optional[dict] = None) -> JobOutcome:
         return JobOutcome(

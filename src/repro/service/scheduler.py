@@ -28,7 +28,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.jobs import JobStore
-from repro.service.models import JobRecord, JobSpec, check_service_backend
+from repro.service.models import JobRecord, JobSpec
 from repro.service.runner import JobOutcome, run_job
 from repro.service.stream import EventWriter
 from repro.store import open_store
@@ -151,11 +151,7 @@ class ValuationService:
     # Client surface (what the HTTP handlers call)
     # ------------------------------------------------------------------ #
     def submit(self, spec: JobSpec) -> JobRecord:
-        """Durably enqueue a job; may flag a lower-priority one for preemption.
-
-        Raises ``ValueError`` for a backend the service cannot run (fleet).
-        """
-        check_service_backend(spec)
+        """Durably enqueue a job; may flag a lower-priority one for preemption."""
         record = self.jobs.submit(spec)
         self.telemetry.count(SERVICE_JOBS_SUBMITTED)
         self._emit_for(

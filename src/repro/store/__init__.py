@@ -13,7 +13,7 @@ process.  This package adds the disk tier beneath it:
   format) and :class:`MemoryUtilityStore` (the in-process reference that
   tests run against);
 * :func:`open_store` — opens the SQLite file at a path; used by the
-  builders, the service, fleet workers and the ``repro`` CLI.
+  builders, the service and the ``repro`` CLI.
 
 Values stay bitwise-identical to a fresh evaluation, and a store hit performs
 zero FL trainings — which is what makes benchmark campaigns resumable and

@@ -12,17 +12,16 @@ a non-journaling filesystem) reads as a miss and is swept out by :meth:`gc`.
 Concurrency: WAL lets readers proceed under a writer, but two simultaneous
 write transactions still contend for the single write lock.  The connection
 sets an explicit ``busy_timeout`` (SQLite blocks instead of failing fast) and
-every write additionally runs under :func:`run_with_busy_retry`, so a fleet
-of worker processes hammering one store file never surfaces a transient
+every write additionally runs under :func:`run_with_busy_retry`, so several
+``repro run`` processes writing one store file never surface a transient
 ``SQLITE_BUSY`` to callers — a lock that persists past both layers is a real
 deadlock and does raise.
 
-The module also holds the one durable-state core the fleet's lease queue and
-the service's job store build on (:class:`DurableState`: WAL connection,
-retrying ``BEGIN IMMEDIATE`` transactions, the bookkeeping clock and the
-plain-INSERT trainings ledger) and :class:`RecordingStore`, the store proxy
-that writes every ledger row — so a row exists exactly when a training
-reached the store, whichever subsystem paid for it.
+The module also holds the durable-state core the service's job store builds
+on (:class:`DurableState`: WAL connection, retrying ``BEGIN IMMEDIATE``
+transactions, the bookkeeping clock and the plain-INSERT trainings ledger)
+and :class:`RecordingStore`, the store proxy that writes every ledger row —
+so a row exists exactly when a training reached the store.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ def connect_wal(
 
     The ``connect()`` timeout only covers the lock waits the sqlite3 module
     itself performs; an explicit ``busy_timeout`` makes SQLite block (not
-    fail) inside every statement, which is what many concurrent fleet
-    workers sharing one file need.  Callers serialise access to the handle
+    fail) inside every statement, which is what several concurrent
+    processes sharing one file need.  Callers serialise access to the handle
     themselves, so it may move between threads.
     """
     connection = sqlite3.connect(
@@ -297,12 +296,12 @@ class SqliteUtilityStore(UtilityStore):
 class DurableState:
     """One WAL-SQLite file of coordination state, plus its trainings ledger.
 
-    The shared core of :class:`~repro.fleet.queue.LeaseQueue` and
-    :class:`~repro.service.jobs.JobStore`: a single connection guarded by a
-    process lock serves every thread, and cross-process atomicity comes from
-    ``BEGIN IMMEDIATE`` transactions plus :func:`run_with_busy_retry`.
-    Subclasses pass their own tables as ``schema`` and name the ledger's tag
-    columns in :attr:`LEDGER_COLUMNS` (who paid for a training).
+    The core of :class:`~repro.service.jobs.JobStore`, its one subclass: a
+    single connection guarded by a process lock serves every thread, and
+    cross-process atomicity comes from ``BEGIN IMMEDIATE`` transactions plus
+    :func:`run_with_busy_retry`.  The subclass passes its own tables as
+    ``schema`` and names the ledger's tag columns in :attr:`LEDGER_COLUMNS`
+    (who paid for a training).
 
     The ``trainings`` ledger is deliberately a plain INSERT: a duplicated
     training must show up as a duplicate row, not be papered over by a
@@ -405,7 +404,7 @@ class RecordingStore(UtilityStore):
     Reads go straight to ``inner``; every write — i.e. every training that
     actually reached the store — also calls ``record(key, *tags)``, a
     :meth:`DurableState.record_training`.  This proxy is the only writer of
-    ledger rows, for fleet workers and service jobs alike, so a row exists
+    ledger rows, so a row exists
     exactly when a utility was stored: a non-finite utility (never
     persisted) or a coalition served from the store leaves none.
 

@@ -2,7 +2,7 @@
 
 The registry is the *numeric* half of the telemetry subsystem (spans are the
 other, see :mod:`repro.telemetry.trace`): instrumented sites record how often
-something happened (`store.hit`), a current level (`fleet.queue_depth`) or a
+something happened (`store.hit`), a current level (`service.queue_depth`) or a
 distribution (`utility.eval_seconds`), and the registry folds those into
 constant-size state — a histogram is a fixed bucket vector plus running
 count/sum/min/max, never a sample list, so a million observations cost the

@@ -6,8 +6,8 @@ data structures (:class:`SpanNode` trees, metric summary dicts) and rendered
 text for the ``repro trace`` / ``repro stats`` CLI verbs.  Nothing in this
 module runs during a valuation — it cannot perturb one.
 
-Journals may contain spans from several processes (fleet workers write into
-the coordinating run's journal) whose records interleave arbitrarily;
+Journals may contain spans from several processes whose records interleave
+arbitrarily;
 reconstruction is therefore order-insensitive: spans link to parents by id,
 spans whose parent never finished (crash) or lives in a lost torn line
 become roots, and siblings sort by wall-clock start so the tree reads in the
@@ -131,7 +131,7 @@ def render_trace(
 ) -> str:
     """ASCII span tree plus the critical path, for ``repro trace``.
 
-    Long sibling runs (hundreds of ``fleet.batch`` spans) collapse after
+    Long sibling runs (hundreds of ``oracle.batch`` spans) collapse after
     ``max_children`` into one ``… (+N more, total)`` line — the tree is for
     orientation; exhaustive numbers live in ``repro stats``.
     """

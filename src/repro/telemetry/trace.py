@@ -107,7 +107,7 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a traced section: ``with tracer.span("oracle.batch", n=64): ...``"""
         sequence = next(self._ids)
-        # The pid namespaces span ids across fleet worker processes; it is
+        # The pid namespaces span ids across processes sharing a journal; it is
         # journal telemetry and never reaches fingerprints or seeds.
         pid = os.getpid()  # repro: allow[RPR002] reason=span-id namespacing across worker processes, telemetry-only
         span_id = f"{pid:x}.{sequence:x}"

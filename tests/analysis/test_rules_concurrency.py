@@ -1,4 +1,4 @@
-"""RPR004/RPR006/RPR007: picklability across the fleet pickling boundary, lock
+"""RPR004/RPR006/RPR007: picklability across the pickling boundary, lock
 discipline on shared state, and swallowed broad exceptions."""
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class TestUnpicklableCallable:
 
     def test_does_not_apply_to_tests(self, check_source):
         # Test code drives the in-process backends with lambdas all over;
-        # only library code must stay picklable for fleet workers.
+        # only library code must stay picklable.
         findings = check_source(
             """
             def test_oracle(oracle):

@@ -1,12 +1,11 @@
-"""Execution fields of plans and job specs: fleet-only fields, legacy input.
+"""Execution fields of plans and job specs: retired backends, legacy input.
 
-Only the fleet backend reads ``queue_dir``, ``spawn_workers``,
-``worker_backend`` and ``lease_seconds``; any other backend rejects them,
-naming the field, instead of silently ignoring them.  The pooled ``thread``
-and ``process`` backends and their ``n_workers`` knob are gone: manifests
-written while they existed carry ``"n_workers": 1`` and must still resume,
-while any other value, or a retired backend name in a plan, a job or on the
-command line, fails with the replacement spelled out.
+The pooled ``thread`` and ``process`` backends, their ``n_workers`` knob and
+the ``fleet`` backend with its ``queue_dir``, ``spawn_workers``,
+``worker_backend`` and ``lease_seconds`` fields are gone.  Manifests and job
+rows written while they existed must still load and run as what they ran,
+while any of them in a new plan, a job or on the command line fails with
+the replacement spelled out.
 """
 
 import json
@@ -35,13 +34,13 @@ JOB_TASK = {
     "n_clients": 4,
     "seed": 0,
 }
-FLEET_ONLY = {
+FLEET_FIELDS = {
     "queue_dir": "/nonexistent",
     "spawn_workers": 3,
     "worker_backend": "vectorized",
     "lease_seconds": 5.0,
 }
-RETIRED = ("thread", "process")
+RETIRED = ("thread", "process", "fleet")
 
 
 def plan_payload(**fields):
@@ -52,45 +51,45 @@ def job_payload(**fields):
     return {"task": JOB_TASK, "algorithm": "IPSS", **fields}
 
 
-def assert_names_replacements(message, fleet):
-    """The hint names 'vectorized', and 'fleet' only where fleet is valid."""
+def assert_names_replacements(message):
+    """The hint names 'vectorized' and processes sharing one store, and
+    never the removed fleet flags."""
     assert "'vectorized'" in message
-    assert ("'fleet --spawn-workers N'" in message) == fleet
+    assert "several `repro run` processes" in message
+    assert "--store" in message
+    assert "--spawn-workers" not in message
 
 
-class TestFleetOnlyFields:
+class TestRetiredFleetFields:
     @pytest.mark.parametrize("backend", [None, "serial", "vectorized"])
-    @pytest.mark.parametrize("field_name", sorted(FLEET_ONLY))
-    def test_plan_rejects_fleet_field_without_fleet(self, backend, field_name):
-        fields = {field_name: FLEET_ONLY[field_name]}
-        with pytest.raises(ValueError, match=f"{field_name}: fleet-only"):
-            ExperimentPlan(tasks=(TINY_SPEC,), backend=backend, **fields)
+    @pytest.mark.parametrize("field_name", sorted(FLEET_FIELDS))
+    def test_plan_rejects_a_fleet_field(self, backend, field_name):
+        fields = {field_name: FLEET_FIELDS[field_name]}
+        if backend is not None:
+            fields["backend"] = backend
+        with pytest.raises(ValueError, match="unknown ExperimentPlan fields") as excinfo:
+            ExperimentPlan.from_dict(plan_payload(**fields))
+        assert f"{field_name} configured the removed 'fleet' backend" in str(
+            excinfo.value
+        )
+        assert_names_replacements(str(excinfo.value))
 
-    @pytest.mark.parametrize("field_name", sorted(FLEET_ONLY))
-    def test_job_rejects_fleet_field_without_fleet(self, field_name):
-        fields = {field_name: FLEET_ONLY[field_name]}
-        with pytest.raises(ValueError, match=f"{field_name}: fleet-only"):
+    @pytest.mark.parametrize("field_name", sorted(FLEET_FIELDS))
+    def test_job_rejects_a_fleet_field(self, field_name):
+        fields = {field_name: FLEET_FIELDS[field_name]}
+        with pytest.raises(ValueError, match="unknown JobSpec fields") as excinfo:
             JobSpec.from_dict(job_payload(backend="vectorized", **fields))
+        assert f"{field_name} configured the removed 'fleet' backend" in str(
+            excinfo.value
+        )
+        assert_names_replacements(str(excinfo.value))
 
-    def test_every_ignored_field_is_named(self):
+    def test_every_rejected_field_is_named(self):
         with pytest.raises(ValueError) as excinfo:
-            JobSpec.from_dict(job_payload(backend="vectorized", **FLEET_ONLY))
+            JobSpec.from_dict(job_payload(backend="vectorized", **FLEET_FIELDS))
         message = str(excinfo.value)
-        for field_name in FLEET_ONLY:
+        for field_name in FLEET_FIELDS:
             assert field_name in message
-
-    def test_default_lease_is_not_a_fleet_field(self):
-        payload = plan_payload(backend="vectorized", lease_seconds=30.0)
-        plan = ExperimentPlan.from_dict(payload)
-        assert plan.backend == "vectorized"
-
-    def test_fleet_backend_accepts_them(self, tmp_path):
-        fields = {**FLEET_ONLY, "queue_dir": str(tmp_path)}
-        plan = ExperimentPlan.from_dict(plan_payload(backend="fleet", **fields))
-        job = JobSpec.from_dict(job_payload(backend="fleet", **fields))
-        for field_name, value in fields.items():
-            assert getattr(plan, field_name) == value
-            assert getattr(job, field_name) == value
 
 
 def interrupted_run(run_dir, monkeypatch):
@@ -118,7 +117,7 @@ class TestLegacyWorkers:
     def test_other_values_are_rejected_naming_the_field(self, value):
         with pytest.raises(ValueError, match="n_workers") as excinfo:
             ExperimentPlan.from_dict(plan_payload(n_workers=value))
-        assert_names_replacements(str(excinfo.value), fleet=True)
+        assert_names_replacements(str(excinfo.value))
         with pytest.raises(ValueError, match="n_workers"):
             JobSpec.from_dict(job_payload(n_workers=value))
 
@@ -135,6 +134,16 @@ class TestLegacyWorkers:
         assert report.cells_resumed == 1
         assert report.cells_run == 1
         assert len([r for r in report.rows if r["status"] == "done"]) == 2
+
+
+def finished_values(run_dir):
+    """``cell id -> values`` of every finished cell in ``run_dir``."""
+    manifest = load_manifest(str(run_dir))
+    values = {}
+    for cell, entry in manifest["cells"].items():
+        payload = json.loads((run_dir / entry["result_file"]).read_text())
+        values[cell] = payload["result"]["values"]
+    return values
 
 
 class TestStoredRecords:
@@ -161,92 +170,134 @@ class TestStoredRecords:
         assert report.cells_resumed == 1
         assert report.cells_run == 1
 
+    @pytest.mark.parametrize(
+        ("worker_backend", "runs_as"),
+        [(None, "serial"), ("vectorized", "vectorized"), ("process", "serial")],
+    )
+    def test_fleet_manifest_resumes_bitwise(
+        self, worker_backend, runs_as, tmp_path, monkeypatch
+    ):
+        """A fleet run dir resumes on the executor its workers used, and its
+        values are bitwise those of an uninterrupted run."""
+        full = tmp_path / "full"
+        run_plan(
+            ExperimentPlan(tasks=(TINY_SPEC,), algorithms=("MC-Shapley", "IPSS")),
+            str(full),
+        )
+        run_dir = tmp_path / "run"
+        interrupted_run(run_dir, monkeypatch)
+        manifest = load_manifest(str(run_dir))
+        legacy = {
+            "backend": "fleet",
+            "queue_dir": str(tmp_path / "queue"),
+            "spawn_workers": 2,
+            "lease_seconds": 5.0,
+        }
+        if worker_backend is not None:
+            legacy["worker_backend"] = worker_backend
+        manifest["plan"].update(legacy)
+        (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        report = resume_run(str(run_dir))
+        assert report.plan.backend == runs_as
+        assert (report.cells_resumed, report.cells_run) == (1, 1)
+        assert finished_values(run_dir) == finished_values(full)
+
     def test_stored_job_spec_maps_to_what_ran(self):
-        stored = job_payload(backend="vectorized", n_workers=2, **FLEET_ONLY)
+        stored = job_payload(backend="vectorized", n_workers=2, **FLEET_FIELDS)
         job = JobSpec.from_dict(stored_execution(stored))
         assert job == JobSpec.from_dict(job_payload(backend="vectorized"))
 
-    def test_stored_fleet_job_keeps_its_fleet_fields(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("worker_backend", "runs_as"),
+        [(None, "serial"), ("vectorized", "vectorized"), ("process", "serial")],
+    )
+    def test_stored_fleet_job_maps_to_its_worker_backend(
+        self, worker_backend, runs_as, tmp_path
+    ):
         stored = job_payload(
             backend="fleet",
             queue_dir=str(tmp_path),
             spawn_workers=2,
-            worker_backend="process",
+            lease_seconds=5.0,
             n_workers=2,
         )
+        if worker_backend is not None:
+            stored["worker_backend"] = worker_backend
         job = JobSpec.from_dict(stored_execution(stored))
-        assert (job.backend, job.worker_backend) == ("fleet", "serial")
-        assert (job.queue_dir, job.spawn_workers) == (str(tmp_path), 2)
+        assert job == JobSpec.from_dict(job_payload(backend=runs_as))
 
 
 class TestCliBackendOverride:
-    def fleet_config(self, tmp_path):
-        config = tmp_path / "fleet_plan.json"
-        fields = {**FLEET_ONLY, "queue_dir": str(tmp_path / "queue")}
-        config.write_text(json.dumps(plan_payload(backend="fleet", **fields)))
-        return str(config)
-
-    def test_non_fleet_backend_drops_the_plans_fleet_fields(self, tmp_path):
+    def test_backend_flag_overrides_the_plans(self, tmp_path):
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(plan_payload(backend="serial")))
         args = build_parser().parse_args(
-            ["run", "--run-dir", "r", "--config", self.fleet_config(tmp_path),
+            ["run", "--run-dir", "r", "--config", str(config),
              "--backend", "vectorized"]
         )
         plan = _plan_from_args(args)
         assert plan == ExperimentPlan.from_dict(plan_payload(backend="vectorized"))
 
-    def test_fleet_flags_with_a_non_fleet_backend_are_still_rejected(
-        self, tmp_path
-    ):
+    def test_fleet_plan_file_names_the_replacements(self, tmp_path):
+        config = tmp_path / "fleet_plan.json"
+        config.write_text(json.dumps(plan_payload(backend="fleet")))
         args = build_parser().parse_args(
-            ["run", "--run-dir", "r", "--config", self.fleet_config(tmp_path),
-             "--backend", "vectorized", "--spawn-workers", "2"]
+            ["run", "--run-dir", "r", "--config", str(config)]
         )
-        with pytest.raises(ValueError, match="spawn_workers: fleet-only"):
+        with pytest.raises(ValueError, match="the 'fleet' backend was removed") as excinfo:
             _plan_from_args(args)
+        assert_names_replacements(str(excinfo.value))
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--queue-dir", "q"],
+            ["--spawn-workers", "2"],
+            ["--worker-backend", "vectorized"],
+            ["--lease-seconds", "5"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_fleet_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--run-dir", "r", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_worker_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "q"])
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
 
 
 class TestRetiredBackends:
     @pytest.mark.parametrize("name", RETIRED)
-    @pytest.mark.parametrize("field_name", ["backend", "worker_backend"])
-    def test_plan_names_the_replacements(self, name, field_name, tmp_path):
-        fields = {field_name: name}
-        if field_name == "worker_backend":
-            fields.update(backend="fleet", queue_dir=str(tmp_path))
-        removed = f"{field_name}: the '{name}' backend was removed"
+    def test_plan_names_the_replacements(self, name):
+        removed = f"backend: the '{name}' backend was removed"
         with pytest.raises(ValueError, match=removed) as excinfo:
-            ExperimentPlan.from_dict(plan_payload(**fields))
-        # Workers run in-process backends only: no fleet in a fleet.
-        assert_names_replacements(str(excinfo.value), fleet=field_name == "backend")
+            ExperimentPlan.from_dict(plan_payload(backend=name))
+        assert_names_replacements(str(excinfo.value))
 
     @pytest.mark.parametrize("name", RETIRED)
-    @pytest.mark.parametrize("field_name", ["backend", "worker_backend"])
-    def test_job_names_the_replacements(self, name, field_name, tmp_path):
-        fields = {field_name: name}
-        if field_name == "worker_backend":
-            fields.update(backend="fleet", queue_dir=str(tmp_path))
-        removed = f"{field_name}: the '{name}' backend was removed"
+    def test_job_names_the_replacements(self, name):
+        removed = f"backend: the '{name}' backend was removed"
         with pytest.raises(ValueError, match=removed) as excinfo:
-            JobSpec.from_dict(job_payload(**fields))
-        # The service refuses fleet jobs, so it never suggests one.
-        assert_names_replacements(str(excinfo.value), fleet=False)
+            JobSpec.from_dict(job_payload(backend=name))
+        assert_names_replacements(str(excinfo.value))
 
     @pytest.mark.parametrize("name", RETIRED)
     @pytest.mark.parametrize(
-        ("argv", "fleet"),
-        [
-            (["run", "--run-dir", "r", "--backend"], True),
-            (["run", "--run-dir", "r", "--backend", "fleet", "--worker-backend"], False),
-            (["worker", "q", "--backend"], False),
-            (["submit", "--backend"], False),
-        ],
-        ids=["run", "run-worker-backend", "worker", "submit"],
+        "argv",
+        [["run", "--run-dir", "r", "--backend"], ["submit", "--backend"]],
+        ids=["run", "submit"],
     )
-    def test_cli_names_the_replacements(self, name, argv, fleet, capsys):
-        with pytest.raises(SystemExit):
+    def test_cli_names_the_replacements(self, name, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([*argv, name])
+        assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert f"the '{name}' backend was removed" in message
-        assert_names_replacements(message, fleet)
+        assert_names_replacements(message)
 
     def test_cli_has_no_worker_count_flag(self, capsys):
         with pytest.raises(SystemExit):

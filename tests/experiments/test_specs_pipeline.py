@@ -100,8 +100,8 @@ class TestExperimentPlan:
             ExperimentPlan(tasks=())
         with pytest.raises(ValueError):
             ExperimentPlan(tasks=(TINY_SPEC,), algorithms=("Quantum-SV",))
-        with pytest.raises(ValueError, match="spawn_workers"):
-            ExperimentPlan(tasks=(TINY_SPEC,), spawn_workers=2)
+        with pytest.raises(ValueError, match="the 'fleet' backend was removed"):
+            ExperimentPlan(tasks=(TINY_SPEC,), backend="fleet")
 
     def test_registry_covers_the_paper_lineup(self):
         assert {

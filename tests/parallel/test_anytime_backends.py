@@ -1,12 +1,10 @@
-"""Interrupt/resume parity across all three executor backends.
+"""Interrupt/resume parity across both executor backends.
 
 The anytime contract must hold regardless of how coalition utilities are
 evaluated: kill a run mid-chunk, restore from the JSON checkpoint, and the
 final values are bitwise-identical to an uninterrupted run on the same
 backend (and equal across backends up to the documented vectorized
-tolerance).  Everything is module-level so the fleet queue payload can
-pickle the evaluators; fleet runs drain through an in-process worker thread
-(:class:`tests.helpers.FleetHarness`) over a real SQLite queue.
+tolerance).  Everything is module-level, so the evaluators pickle.
 """
 
 import json
@@ -22,43 +20,27 @@ from repro.models import LogisticRegressionModel
 from repro.parallel import EXECUTOR_BACKENDS
 from repro.store import MemoryUtilityStore
 
-from tests.helpers import FleetHarness
-
 BACKENDS = list(EXECUTOR_BACKENDS)
 SEED = 23
 N = 4
 GAMMA = 12
 
 
-@pytest.fixture(scope="module")
-def fleet_env(tmp_path_factory):
-    env = FleetHarness(tmp_path_factory.mktemp("fleet-anytime"))
-    yield env
-    env.close()
-
-
 def model_factory(n_features):
     return partial(LogisticRegressionModel, n_features=n_features, n_classes=2, epochs=2)
 
 
-def build_utility(backend: str, store=None, fleet=None):
+def build_utility(backend: str, store=None):
     pooled = make_classification_blobs(160, n_features=5, n_classes=2, seed=SEED)
     train, test = train_test_split(pooled, test_fraction=0.25, seed=SEED)
     clients = partition_iid(train, N, seed=SEED)
-    if backend == "fleet":
-        # Fleet always needs a disk-backed store; a fresh SQLite file per
-        # utility stands in for the "no store" configurations.
-        executor = fleet.executor()
-        store = store if store is not None else fleet.fresh_store_path()
-    else:
-        executor = backend
     return CoalitionUtility(
         client_datasets=clients,
         test_dataset=test,
         model_factory=model_factory(test.n_features),
         config=FLConfig(rounds=2, local_epochs=1),
         seed=SEED,
-        executor=executor,
+        executor=backend,
         store=store,
         store_namespace="anytime-backends" if store is not None else None,
     )
@@ -74,14 +56,14 @@ ALGORITHMS = {
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestInterruptResumeAcrossBackends:
     def test_killed_mid_run_then_restored_is_bitwise_identical(
-        self, backend, algorithm_key, fleet_env
+        self, backend, algorithm_key
     ):
         factory = ALGORITHMS[algorithm_key]
-        with build_utility(backend, fleet=fleet_env) as utility:
+        with build_utility(backend) as utility:
             reference = factory().run(utility, N)
 
         # Kill the run after two chunks; persist the checkpoint as JSON.
-        with build_utility(backend, fleet=fleet_env) as utility:
+        with build_utility(backend) as utility:
             iterator = factory().iter_run(utility, N)
             snapshot = None
             for index, snapshot in enumerate(iterator, start=1):
@@ -93,7 +75,7 @@ class TestInterruptResumeAcrossBackends:
 
         # Restore in a fresh oracle (fresh cache — as after a real crash).
         restored = EstimatorState.from_dict(json.loads(blob))
-        with build_utility(backend, fleet=fleet_env) as utility:
+        with build_utility(backend) as utility:
             last = None
             for last in factory().iter_run(utility, N, state=restored):
                 pass
@@ -102,18 +84,14 @@ class TestInterruptResumeAcrossBackends:
         assert last.evaluations == reference.utility_evaluations
 
     def test_resume_with_warm_store_trains_nothing(
-        self, backend, algorithm_key, fleet_env
+        self, backend, algorithm_key
     ):
         factory = ALGORITHMS[algorithm_key]
-        store = (
-            fleet_env.fresh_store_path()
-            if backend == "fleet"
-            else MemoryUtilityStore()
-        )
-        with build_utility(backend, store=store, fleet=fleet_env) as utility:
+        store = MemoryUtilityStore()
+        with build_utility(backend, store=store) as utility:
             reference = factory().run(utility, N)
 
-        with build_utility(backend, store=store, fleet=fleet_env) as utility:
+        with build_utility(backend, store=store) as utility:
             iterator = factory().iter_run(utility, N)
             for index, snapshot in enumerate(iterator, start=1):
                 if index == 2:
@@ -122,7 +100,7 @@ class TestInterruptResumeAcrossBackends:
             blob = json.dumps(snapshot.state.to_dict())
 
         restored = EstimatorState.from_dict(json.loads(blob))
-        with build_utility(backend, store=store, fleet=fleet_env) as utility:
+        with build_utility(backend, store=store) as utility:
             trainings_before = utility.evaluations
             last = None
             for last in factory().iter_run(utility, N, state=restored):
@@ -132,18 +110,18 @@ class TestInterruptResumeAcrossBackends:
         assert last.values.tolist() == reference.values.tolist()
 
 
-def test_backends_agree_on_resumed_values(fleet_env):
+def test_backends_agree_on_resumed_values():
     """Across backends the resumed values agree within the documented atol."""
     finals = {}
     for backend in BACKENDS:
-        with build_utility(backend, fleet=fleet_env) as utility:
+        with build_utility(backend) as utility:
             iterator = ALGORITHMS["ipss"]().iter_run(utility, N)
             for index, snapshot in enumerate(iterator, start=1):
                 if index == 2:
                     break
             iterator.close()
         restored = EstimatorState.from_dict(json.loads(json.dumps(snapshot.state.to_dict())))
-        with build_utility(backend, fleet=fleet_env) as utility:
+        with build_utility(backend) as utility:
             last = None
             for last in ALGORITHMS["ipss"]().iter_run(utility, N, state=restored):
                 pass

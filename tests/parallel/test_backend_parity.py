@@ -1,15 +1,11 @@
-"""Backend parity: serial / vectorized / fleet agree.
+"""Backend parity: serial / vectorized agree.
 
 For at least two models × two datasets, every
 executor backend produces the same utilities *and* the same ``evaluations``
 / ``store_hits`` accounting — so switching backends can change wall-clock
 time and nothing else.
 
-Everything here is module-level (no lambdas) so the fleet queue payload
-can pickle the evaluators.  Fleet runs drain
-through an in-process worker thread (:class:`tests.helpers.FleetHarness`)
-over a real SQLite queue + store; subprocess workers are covered by
-``test_fleet_backend.py``.
+Everything here is module-level (no lambdas), so the evaluators pickle.
 """
 
 from functools import partial
@@ -30,15 +26,13 @@ from repro.models import LogisticRegressionModel, MLPClassifier
 from repro.parallel import EXECUTOR_BACKENDS, VectorizedExecutor
 from repro.store import MemoryUtilityStore
 
-from tests.helpers import FleetHarness
-
 BACKENDS = list(EXECUTOR_BACKENDS)
 SEED = 13
 N = 4
 
 
 def logistic_model(n_features):
-    """Picklable zero-arg factory (functools.partial) for fleet workers."""
+    """Picklable zero-arg factory (functools.partial)."""
     return partial(LogisticRegressionModel, n_features=n_features, n_classes=2, epochs=2)
 
 
@@ -64,29 +58,15 @@ DATASETS = {"blobs": blob_clients, "adult": adult_clients}
 MODELS = {"logistic": logistic_model, "mlp": mlp_model}
 
 
-@pytest.fixture(scope="module")
-def fleet_env(tmp_path_factory):
-    env = FleetHarness(tmp_path_factory.mktemp("fleet-parity"))
-    yield env
-    env.close()
-
-
-def build_utility(dataset: str, model: str, backend: str, store=None, fleet=None):
+def build_utility(dataset: str, model: str, backend: str, store=None):
     clients, test = DATASETS[dataset]()
-    if backend == "fleet":
-        # Fleet always needs a disk-backed store — a fresh one stands in for
-        # the "no store" configurations the other backends run with.
-        executor = fleet.executor()
-        store = store if store is not None else fleet.fresh_store_path()
-    else:
-        executor = backend
     return CoalitionUtility(
         client_datasets=clients,
         test_dataset=test,
         model_factory=MODELS[model](test.n_features),
         config=FLConfig(rounds=2, local_epochs=1),
         seed=SEED,
-        executor=executor,
+        executor=backend,
         store=store,
         store_namespace=f"parity-{dataset}-{model}" if store is not None else None,
     )
@@ -95,10 +75,10 @@ def build_utility(dataset: str, model: str, backend: str, store=None, fleet=None
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 class TestBackendParity:
-    def test_utilities_and_accounting_agree(self, dataset, model, fleet_env):
+    def test_utilities_and_accounting_agree(self, dataset, model):
         results = {}
         for backend in BACKENDS:
-            with build_utility(dataset, model, backend, fleet=fleet_env) as utility:
+            with build_utility(dataset, model, backend) as utility:
                 values = MCShapley(seed=SEED).run(utility, N).values
                 results[backend] = (values, utility.evaluations, utility.cache_hits)
         reference_values, reference_evals, reference_hits = results["serial"]
@@ -111,16 +91,10 @@ class TestBackendParity:
             assert evaluations == reference_evals, backend
             assert cache_hits == reference_hits, backend
 
-    def test_store_hits_accounting_agrees(self, dataset, model, fleet_env):
+    def test_store_hits_accounting_agrees(self, dataset, model):
         for backend in BACKENDS:
-            store = (
-                fleet_env.fresh_store_path()
-                if backend == "fleet"
-                else MemoryUtilityStore()
-            )
-            with build_utility(
-                dataset, model, backend, store=store, fleet=fleet_env
-            ) as utility:
+            store = MemoryUtilityStore()
+            with build_utility(dataset, model, backend, store=store) as utility:
                 first = utility.evaluate_batch([{0}, {1}, {0, 1}, {2, 3}])
                 assert utility.evaluations == 4
                 assert utility.store_hits == 0

@@ -47,25 +47,9 @@ class TestMakeExecutor:
     def test_default_is_serial(self):
         assert isinstance(make_executor(None), SerialExecutor)
 
-    @pytest.mark.parametrize(
-        "name", [b for b in EXECUTOR_BACKENDS if b != "fleet"]
-    )
+    @pytest.mark.parametrize("name", EXECUTOR_BACKENDS)
     def test_named_backends(self, name):
         assert make_executor(name).name == name
-
-    def test_fleet_needs_explicit_construction(self):
-        # The fleet backend is registered but not name-constructible: it
-        # needs a queue directory, so the error must say how to get one.
-        assert "fleet" in EXECUTOR_BACKENDS
-        with pytest.raises(ValueError, match="queue directory"):
-            make_executor("fleet")
-
-    def test_fleet_instance_passthrough(self, tmp_path):
-        from repro.fleet import FleetExecutor
-
-        executor = FleetExecutor(queue_dir=str(tmp_path / "q"))
-        assert make_executor(executor) is executor
-        executor.close()
 
     def test_instance_passthrough(self):
         executor = SerialExecutor()

@@ -6,8 +6,8 @@ through a :class:`BatchUtilityOracle` on any in-process backend produces
 path on the same seed.  This holds because (a) all randomness lives in the
 algorithm's own generator, which is untouched by how utilities are
 evaluated, and (b) per-coalition training seeds are content-derived, so a
-coalition's utility is the same whichever backend computes it.  The fleet
-backend's half of the matrix lives in ``test_backend_parity.py``.
+coalition's utility is the same whichever backend computes it.  The
+FL-trained half of the matrix lives in ``test_backend_parity.py``.
 """
 
 import numpy as np

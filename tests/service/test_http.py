@@ -78,41 +78,17 @@ class TestJobEndpoints:
             client.submit({"task": make_task(), "algorithm": "IPSS", "algoritm": "x"})
         assert excinfo.value.status == 400
 
-    def test_bad_worker_backend_submit_is_a_400_naming_the_field(
-        self, service_client, tmp_path
-    ):
+    def test_fleet_backend_submit_is_a_400_naming_the_cause(self, service_client):
         _service, client = service_client
-        spec = {
-            "task": make_task(),
-            "algorithm": "IPSS",
-            "backend": "fleet",
-            "queue_dir": str(tmp_path / "queue"),
-            "worker_backend": "bogus",
-        }
+        spec = {"task": make_task(), "algorithm": "IPSS", "backend": "fleet"}
         with pytest.raises(ServiceError) as excinfo:
             client.submit(spec)
         assert excinfo.value.status == 400
-        assert "worker_backend" in str(excinfo.value)
-
-    def test_fleet_backend_submit_is_a_400_naming_the_cause(
-        self, service_client, tmp_path
-    ):
-        _service, client = service_client
-        spec = {
-            "task": make_task(),
-            "algorithm": "IPSS",
-            "backend": "fleet",
-            "queue_dir": str(tmp_path / "queue"),
-            "spawn_workers": 1,
-        }
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(spec)
-        assert excinfo.value.status == 400
-        assert "RecordingStore" in str(excinfo.value)
-        assert "repro run --backend fleet" in str(excinfo.value)
+        assert "the 'fleet' backend was removed" in str(excinfo.value)
+        assert "several `repro run` processes" in str(excinfo.value)
         assert client.jobs() == []
 
-    def test_fleet_field_without_fleet_backend_is_a_400(self, service_client):
+    def test_fleet_field_submit_is_a_400_naming_each_field(self, service_client):
         _service, client = service_client
         spec = {
             "task": make_task(),
@@ -127,11 +103,12 @@ class TestJobEndpoints:
         assert excinfo.value.status == 400
         for field_name in ("queue_dir", "spawn_workers", "worker_backend"):
             assert field_name in str(excinfo.value)
+        assert "removed 'fleet' backend" in str(excinfo.value)
         assert client.jobs() == []
 
     def test_job_rows_stored_by_older_versions_still_load_and_run(self, tmp_path):
         """Older versions stored ``n_workers``, the pooled backends and fleet
-        fields they ignored next to a non-fleet backend.  Such a row runs as
+        fields they ignored next to another backend.  Such a row runs as
         that version ran it, and neither the scheduler nor GET /jobs trips."""
         state_dir = str(tmp_path / "state")
         spec = make_spec(n_clients=4)

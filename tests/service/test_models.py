@@ -48,14 +48,10 @@ class TestJobSpecValidation:
         with pytest.raises(ValueError, match="unknown backend"):
             make_spec(backend="gpu-cluster")
 
-    def test_fleet_backend_requires_queue_dir(self):
-        with pytest.raises(ValueError, match="queue"):
-            make_spec(backend="fleet")
-
-    def test_unknown_worker_backend_rejected_like_a_plan(self, tmp_path):
+    def test_retired_fleet_backend_rejected_like_a_plan(self):
         # One validator serves JobSpec and ExperimentPlan: same field, same error.
-        with pytest.raises(ValueError, match="worker_backend"):
-            make_spec(backend="fleet", queue_dir=str(tmp_path), worker_backend="bogus")
+        with pytest.raises(ValueError, match="backend: the 'fleet' backend was removed"):
+            make_spec(backend="fleet")
 
     def test_from_dict_rejects_unknown_fields(self):
         payload = {"task": make_task(), "algorithm": "MC-Shapley", "algorithms": "x"}

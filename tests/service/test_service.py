@@ -9,13 +9,16 @@ Timing-sensitive scenarios use the n=8 synthetic task (~2.5s of chunks),
 which leaves a wide window to preempt/cancel/stop mid-run.
 """
 
+import contextlib
 import json
 import os
+import sqlite3
 
 import pytest
 
-from repro.service.jobs import JobStore
-from repro.service.models import FLEET_JOB_UNSUPPORTED, JobSpec
+from repro.experiments.pipeline import ALGORITHM_BUILDERS
+from repro.service.jobs import JOBS_FILENAME, JobStore
+from repro.service.models import JobSpec
 from repro.service.runner import checkpoint_path
 from repro.service.scheduler import ValuationService
 from repro.service.stream import read_events
@@ -69,25 +72,53 @@ class TestHappyPath:
     def test_submit_rejects_the_fleet_backend(self, tmp_path):
         service = start_service(tmp_path)
         try:
-            spec = make_spec(
-                n_clients=4, backend="fleet", queue_dir=str(tmp_path / "queue")
-            )
-            with pytest.raises(ValueError, match="repro run --backend fleet"):
-                service.submit(spec)
+            with pytest.raises(ValueError, match="the 'fleet' backend was removed"):
+                service.submit(make_spec(n_clients=4, backend="fleet"))
             assert service.list_jobs() == []
         finally:
             service.stop()
 
-    def test_a_failing_job_fails_alone(self, tmp_path):
-        # Older versions accepted fleet jobs; such a queued row must neither
-        # stop the service from starting nor take the next job down with it.
-        bad = make_spec(
-            n_clients=4,
-            algorithm="MC-Shapley",
-            backend="fleet",
-            queue_dir=str(tmp_path / "queue"),
-            spawn_workers=1,
-        )
+    def test_a_stored_fleet_job_runs_as_its_workers_did(self, tmp_path):
+        """Older versions accepted fleet jobs; a queued row loads as its
+        worker backend and finishes with the direct-run values."""
+        spec = make_spec(n_clients=4)
+        with JobStore(str(tmp_path / "state")) as jobs:
+            job_id = jobs.submit(spec).job_id
+        stored = {
+            **spec.to_dict(),
+            "backend": "fleet",
+            "queue_dir": str(tmp_path / "queue"),
+            "spawn_workers": 1,
+            "worker_backend": "vectorized",
+            "lease_seconds": 5.0,
+        }
+        with contextlib.closing(
+            sqlite3.connect(str(tmp_path / "state" / JOBS_FILENAME))
+        ) as connection, connection:
+            connection.execute(
+                "UPDATE jobs SET spec = ? WHERE job_id = ?",
+                (json.dumps(stored), job_id),
+            )
+        service = start_service(tmp_path)
+        try:
+            assert service.get(job_id).spec.backend == "vectorized"
+            final = wait_terminal(service, job_id)
+            assert final.status == "done"
+            assert final.result["result"]["values"] == direct_values(
+                spec.task, spec.algorithm
+            )
+            assert not os.path.exists(tmp_path / "queue")
+        finally:
+            service.stop()
+
+    def test_a_failing_job_fails_alone(self, tmp_path, monkeypatch):
+        # A queued row that fails must neither stop the service from
+        # starting nor take the next job down with it.
+        def exploding_builder(n, gamma, seed):
+            raise RuntimeError("simulated estimator failure")
+
+        monkeypatch.setitem(ALGORITHM_BUILDERS, "IPSS", exploding_builder)
+        bad = make_spec(n_clients=4, algorithm="IPSS")
         with JobStore(str(tmp_path / "state")) as jobs:
             stored = jobs.submit(bad)
         service = start_service(tmp_path)
@@ -97,9 +128,8 @@ class TestHappyPath:
             final_bad = wait_terminal(service, stored.job_id, timeout=90.0)
             assert final_good.status == "done"
             assert final_bad.status == "failed"
-            assert final_bad.error == f"ValueError: {FLEET_JOB_UNSUPPORTED}"
+            assert final_bad.error == "RuntimeError: simulated estimator failure"
             assert final_bad.fl_trainings == 0
-            assert not os.path.exists(tmp_path / "queue")
         finally:
             service.stop()
 

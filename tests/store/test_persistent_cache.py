@@ -91,7 +91,7 @@ class TestOracleStorePlumbing:
 
     def test_batch_only_executor_is_served_by_the_store(self):
         """A custom batch executor only ever sees store misses, like the
-        vectorized and fleet backends."""
+        vectorized backend."""
         store = MemoryUtilityStore()
         game = CountingGame()
         warm = BatchUtilityOracle(game, store=store, store_namespace="t")

@@ -213,27 +213,27 @@ class TestScenarioCommands:
         assert code == 0
         assert json.loads(out)["fl_trainings"] == 0
 
-    def test_run_scenario_on_the_fleet_backend(self, tmp_path, capsys):
-        """The fleet flags reach the robustness plan; values match serial."""
+    def test_run_scenario_on_the_vectorized_backend(self, tmp_path, capsys):
+        """The backend flag reaches the robustness plan; values match serial."""
         args = [
             "--scenario", "free-rider", "--algorithms", "MC-Shapley",
             "--scale", "tiny", "--json",
         ]
         code, out = run_cli(
             capsys,
-            "run", "--run-dir", str(tmp_path / "fleet"),
-            "--store", str(tmp_path / "store.sqlite"), "--backend", "fleet",
-            "--queue-dir", str(tmp_path / "queue"), "--spawn-workers", "1", *args,
+            "run", "--run-dir", str(tmp_path / "vectorized"),
+            "--store", str(tmp_path / "store.sqlite"), "--backend", "vectorized",
+            *args,
         )
         assert code == 0
-        fleet = json.loads(out)
+        vectorized = json.loads(out)
         code, out = run_cli(capsys, "run", "--run-dir", str(tmp_path / "serial"), *args)
         assert code == 0
         serial = json.loads(out)
-        assert [row["values"] for row in fleet["rows"]] == [
+        assert [row["values"] for row in vectorized["rows"]] == [
             row["values"] for row in serial["rows"]
         ]
-        assert fleet["fl_trainings"] == serial["fl_trainings"] > 0
+        assert vectorized["fl_trainings"] == serial["fl_trainings"] > 0
 
     def test_run_scenario_rejects_config(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -349,7 +349,7 @@ class TestStoreCommands:
 
 
 class TestSubmitBackend:
-    """``repro submit --backend`` offers what the service runs: in-process."""
+    """``repro submit --backend`` offers what the service runs."""
 
     @pytest.mark.parametrize("name", ["serial", "vectorized"])
     def test_in_process_backends_parse(self, name):
@@ -361,7 +361,12 @@ class TestSubmitBackend:
             build_parser().parse_args(["submit", "--backend", "fleet"])
         message = capsys.readouterr().err
         assert "--backend {serial,vectorized}" in message
-        assert "choose from ('serial', 'vectorized')" in message
+        assert "the 'fleet' backend was removed; use 'vectorized'" in message
+
+    def test_unknown_backend_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "--backend", "gpu"])
+        assert "choose from ('serial', 'vectorized')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["thread", "process"])
     def test_retired_backend_hint_suggests_no_fleet(self, name, capsys):
@@ -394,10 +399,6 @@ class TestTaskFlagGroup:
             "scenario": None,
             "algorithms": None,
             "backend": None,
-            "queue_dir": None,
-            "spawn_workers": 0,
-            "worker_backend": None,
-            "lease_seconds": 30.0,
             "resume": False,
             "stop_on": None,
             "checkpoint_every": 1,

@@ -1,13 +1,12 @@
-"""The fleet pickling-boundary contract (the RPR004 rule's referent).
+"""The pickling-boundary contract (the RPR004 rule's referent).
 
-Everything the ``fleet`` backend ships to its worker processes — the
-evaluator inside each :class:`~repro.fleet.queue.WorkPayload`, with its
-model factories, declarative task specs and their registered builders,
-scenario definitions — must survive ``pickle.dumps``/``pickle.loads``.  A
-lambda or closure anywhere on these paths works under the in-process
-serial and vectorized backends and then breaks the moment ``--backend
-fleet`` is selected, which is why ``repro check`` (rule RPR004) points
-here: this test pins the contract the rule enforces statically.
+Everything a caller may ship to another process — the oracle's evaluator,
+with its model factories, declarative task specs and their registered
+builders, scenario definitions — must survive
+``pickle.dumps``/``pickle.loads``.  A lambda or closure anywhere on these
+paths works in-process and then breaks the moment it is pickled, which is
+why ``repro check`` (rule RPR004) points here: this test pins the contract
+the rule enforces statically.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ def test_every_catalog_scenario_pickles(scenario):
 
 def test_synthetic_evaluator_pickles():
     # End to end: ``trainer.utility`` is the evaluator the batch oracle hands
-    # to executors — exactly what the fleet backend pickles into its queue.
+    # to executors — what a process boundary would have to pickle.
     spec = _spec_for("synthetic")
     oracle = spec.build()
     evaluator = _round_trip(oracle.trainer.utility)
