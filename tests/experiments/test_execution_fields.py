@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.cli import _plan_from_args, build_parser
+from repro.cli import _plan_from_args, build_parser, main
 from repro.experiments import (
     ExperimentPlan,
     TaskSpec,
@@ -25,6 +25,7 @@ from repro.experiments.pipeline import (
     MANIFEST_NAME,
     stored_execution,
 )
+from repro.parallel import EXECUTOR_BACKENDS, make_executor
 from repro.service.models import JobSpec
 
 TINY_SPEC = TaskSpec(kind="adult", n_clients=3, model="logistic", scale="tiny", seed=0)
@@ -91,6 +92,14 @@ class TestRetiredFleetFields:
         for field_name in FLEET_FIELDS:
             assert field_name in message
 
+    def test_a_typo_next_to_a_fleet_field_is_named_too(self):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentPlan.from_dict(plan_payload(queue_dir="q", algoritms=["IPSS"]))
+        message = str(excinfo.value)
+        assert "['algoritms', 'queue_dir']" in message
+        assert "queue_dir configured the removed 'fleet' backend" in message
+        assert "algoritms configured" not in message
+
 
 def interrupted_run(run_dir, monkeypatch):
     """A run dir whose IPSS cell never ran."""
@@ -120,6 +129,12 @@ class TestLegacyWorkers:
         assert_names_replacements(str(excinfo.value))
         with pytest.raises(ValueError, match="n_workers"):
             JobSpec.from_dict(job_payload(n_workers=value))
+
+    def test_legacy_value_does_not_revive_a_retired_backend(self):
+        with pytest.raises(ValueError, match="the 'fleet' backend was removed"):
+            ExperimentPlan.from_dict(plan_payload(n_workers=1, backend="fleet"))
+        with pytest.raises(ValueError, match="the 'process' backend was removed"):
+            JobSpec.from_dict(job_payload(n_workers=1, backend="process"))
 
     def test_legacy_manifest_resumes(self, tmp_path, monkeypatch):
         """A run dir whose manifest carries ``"n_workers": 1`` (as every
@@ -227,6 +242,94 @@ class TestStoredRecords:
         job = JobSpec.from_dict(stored_execution(stored))
         assert job == JobSpec.from_dict(job_payload(backend=runs_as))
 
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_stored_pooled_job_runs_serially(self, name):
+        stored = job_payload(backend=name, n_workers=4)
+        job = JobSpec.from_dict(stored_execution(stored))
+        assert job == JobSpec.from_dict(job_payload(backend="serial"))
+
+    @pytest.mark.parametrize("backend", [None, *EXECUTOR_BACKENDS])
+    def test_current_records_load_unchanged(self, backend):
+        fields = {} if backend is None else {"backend": backend}
+        for payload in (plan_payload(**fields), job_payload(**fields)):
+            assert stored_execution(payload) == payload
+
+    def test_mapping_leaves_the_stored_record_alone(self, tmp_path):
+        stored = job_payload(
+            backend="fleet", worker_backend="vectorized", n_workers=2,
+            queue_dir=str(tmp_path),
+        )
+        snapshot = json.loads(json.dumps(stored))
+        assert stored_execution(stored)["backend"] == "vectorized"
+        assert stored == snapshot
+
+    def test_cli_resumes_a_fleet_run_dir(self, tmp_path, monkeypatch, capsys):
+        """``repro resume`` finishes a run dir the fleet backend started."""
+        run_dir = tmp_path / "run"
+        interrupted_run(run_dir, monkeypatch)
+        manifest = load_manifest(str(run_dir))
+        manifest["plan"].update(
+            backend="fleet", queue_dir=str(tmp_path / "queue"), spawn_workers=2,
+            worker_backend="vectorized",
+        )
+        (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
+        capsys.readouterr()
+
+        assert main(["resume", "--run-dir", str(run_dir), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["cells_resumed"], report["cells_run"]) == (1, 1)
+        cells = load_manifest(str(run_dir))["cells"].values()
+        assert [entry["status"] for entry in cells] == ["done", "done"]
+
+
+class TestBackendSwitchOnResume:
+    """The backend is machine-local: it never enters the plan fingerprint,
+    so a run started on one backend finishes on the other, bitwise."""
+
+    @pytest.mark.parametrize(
+        ("started_on", "finished_on"),
+        [("serial", "vectorized"), ("vectorized", "serial")],
+    )
+    def test_interrupted_run_finishes_on_the_other_backend(
+        self, started_on, finished_on, tmp_path, monkeypatch
+    ):
+        algorithms = ("MC-Shapley", "IPSS")
+        full = tmp_path / "full"
+        run_plan(ExperimentPlan(tasks=(TINY_SPEC,), algorithms=algorithms), str(full))
+        run_dir = tmp_path / "run"
+        started = ExperimentPlan(
+            tasks=(TINY_SPEC,), algorithms=algorithms, backend=started_on
+        )
+
+        def exploding_builder(n, gamma, seed):
+            raise RuntimeError("simulated crash before the IPSS cell")
+
+        with monkeypatch.context() as patch:
+            patch.setitem(ALGORITHM_BUILDERS, "IPSS", exploding_builder)
+            with pytest.raises(RuntimeError):
+                run_plan(started, str(run_dir))
+
+        finishing = ExperimentPlan(
+            tasks=(TINY_SPEC,), algorithms=algorithms, backend=finished_on
+        )
+        report = run_plan(finishing, str(run_dir), resume=True)
+        assert report.plan.backend == finished_on
+        assert (report.cells_resumed, report.cells_run) == (1, 1)
+        assert finished_values(run_dir) == finished_values(full)
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_rerun_on_a_warm_store_trains_nothing(self, backend, tmp_path):
+        plan = ExperimentPlan(
+            tasks=(TINY_SPEC,), algorithms=("MC-Shapley", "IPSS"), backend=backend
+        )
+        store = str(tmp_path / "store.sqlite")
+        first = run_plan(plan, str(tmp_path / "first"), store=store)
+        second = run_plan(plan, str(tmp_path / "second"), store=store)
+        assert first.fl_trainings > 0
+        assert second.fl_trainings == 0
+        first_values = finished_values(tmp_path / "first")
+        assert finished_values(tmp_path / "second") == first_values
+
 
 class TestCliBackendOverride:
     def test_backend_flag_overrides_the_plans(self, tmp_path):
@@ -298,6 +401,12 @@ class TestRetiredBackends:
         message = capsys.readouterr().err
         assert f"the '{name}' backend was removed" in message
         assert_names_replacements(message)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_executor_factory_does_not_know_the_name(self, name):
+        with pytest.raises(ValueError, match="unknown executor backend") as excinfo:
+            make_executor(name)
+        assert str(EXECUTOR_BACKENDS) in str(excinfo.value)
 
     def test_cli_has_no_worker_count_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -88,6 +88,19 @@ class TestJobEndpoints:
         assert "several `repro run` processes" in str(excinfo.value)
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_pooled_backend_submit_is_a_400_naming_the_cause(
+        self, name, service_client
+    ):
+        _service, client = service_client
+        spec = {"task": make_task(), "algorithm": "IPSS", "backend": name}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert f"the '{name}' backend was removed" in str(excinfo.value)
+        assert "several `repro run` processes" in str(excinfo.value)
+        assert client.jobs() == []
+
     def test_fleet_field_submit_is_a_400_naming_each_field(self, service_client):
         _service, client = service_client
         spec = {

@@ -1,8 +1,17 @@
-"""JobStore protocol: claim ordering, cancel, recovery, the trainings ledger."""
+"""JobStore protocol: claim ordering, cancel, recovery, the trainings ledger,
+and claims racing across threads and processes."""
+
+import os
+import sqlite3
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.service.jobs import JobStore
+import repro
+from repro.service.jobs import JOBS_FILENAME, JobStore
 from tests.service.helpers import make_spec
 
 
@@ -199,3 +208,117 @@ class TestTrainingsLedger:
         total, distinct = jobs.training_counts()
         assert (total, distinct) == (2, 1)
         assert total != distinct
+
+
+def claim_all(jobs, worker):
+    """Claim until the queue is empty; the ids claimed, in order."""
+    claimed = []
+    while True:
+        claim = jobs.claim(worker)
+        if claim is None:
+            return claimed
+        claimed.append(claim[0].job_id)
+
+
+CLAIM_SCRIPT = """
+import sys
+from repro.service.jobs import JobStore
+
+with JobStore(sys.argv[1]) as jobs:
+    while True:
+        claim = jobs.claim(sys.argv[2])
+        if claim is None:
+            break
+        print(claim[0].job_id)
+"""
+
+
+class TestConcurrentClaims:
+    """Every queued job goes to exactly one claimant, however they race."""
+
+    N_JOBS = 12
+
+    def submit_distinct(self, jobs):
+        # Distinct seeds: distinct store namespaces, so affinity blocks none.
+        return {jobs.submit(make_spec(seed=seed)).job_id for seed in range(self.N_JOBS)}
+
+    @pytest.mark.parametrize("handles", ["shared", "own"])
+    def test_threads_never_double_claim(self, handles, tmp_path):
+        with JobStore(str(tmp_path)) as jobs:
+            submitted = self.submit_distinct(jobs)
+            results = {}
+
+            def claimant(worker):
+                if handles == "shared":
+                    results[worker] = claim_all(jobs, worker)
+                    return
+                with JobStore(str(tmp_path)) as own:
+                    results[worker] = claim_all(own, worker)
+
+            threads = [
+                threading.Thread(target=claimant, args=(f"w{index}",))
+                for index in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            claimed = [job_id for ids in results.values() for job_id in ids]
+            assert sorted(claimed) == sorted(submitted)
+            for worker, ids in results.items():
+                for job_id in ids:
+                    assert jobs.get(job_id).worker == worker
+
+    def test_processes_never_double_claim(self, tmp_path):
+        with JobStore(str(tmp_path)) as jobs:
+            submitted = self.submit_distinct(jobs)
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        existing = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": source_root + (os.pathsep + existing if existing else ""),
+        }
+        processes = [
+            subprocess.Popen(
+                [sys.executable, "-c", CLAIM_SCRIPT, str(tmp_path), f"p{index}"],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for index in range(3)
+        ]
+        claimed = []
+        for process in processes:
+            out, err = process.communicate(timeout=120)
+            assert process.returncode == 0, err
+            claimed.extend(out.split())
+        assert sorted(claimed) == sorted(submitted)
+        with JobStore(str(tmp_path)) as jobs:
+            assert jobs.counts() == {"running": self.N_JOBS}
+
+    def test_a_claim_waits_out_another_connections_write_transaction(
+        self, jobs, tmp_path
+    ):
+        submitted = jobs.submit(make_spec(seed=0))
+        started = threading.Event()
+
+        def hold_write_lock():
+            connection = sqlite3.connect(
+                str(tmp_path / JOBS_FILENAME), isolation_level=None
+            )
+            try:
+                connection.execute("BEGIN IMMEDIATE")
+                started.set()
+                time.sleep(0.4)
+                connection.execute("COMMIT")
+            finally:
+                connection.close()
+
+        holder = threading.Thread(target=hold_write_lock)
+        holder.start()
+        assert started.wait(10)
+        record, _ = jobs.claim("w0")
+        holder.join()
+        assert record.job_id == submitted.job_id
+        assert jobs.get(submitted.job_id).status == "running"
