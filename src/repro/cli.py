@@ -80,7 +80,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments.config import ExperimentScale
 from repro.experiments.pipeline import (
     DEFAULT_ALGORITHMS,
     ExperimentPlan,

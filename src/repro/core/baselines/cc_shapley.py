@@ -27,16 +27,17 @@ class CCShapleySampling(ValuationAlgorithm):
 
     Incremental: the deterministic U(N) − U(∅) pair forms the first chunk,
     then each chunk draws up to ``chunk_rounds`` complementary pairs.  Pairs
-    are evaluated one at a time through the oracle's single-coalition path —
-    the budget charges every evaluation, including re-drawn coalitions, so
-    batch deduplication would change the accounting.
+    are evaluated one at a time through the oracle's single-coalition path.
+    Batching a chunk's draws would not change the accounting: the budget is
+    this estimator's own counter, charged for every draw (re-drawn
+    coalitions included), and the oracle counts unique trainings either way.
 
     Parameters
     ----------
     total_rounds:
-        Budget γ on coalition utility evaluations.  Each sampling round spends
-        two evaluations (the coalition and its complement) unless the
-        complement is already cached by the oracle.
+        Budget γ on coalition utility evaluations.  Each sampling round
+        charges two (the coalition and its complement), whether or not the
+        oracle already holds them.
     stratified:
         When true (default) the coalition size is drawn uniformly from
         ``1..n−1`` (stratified over sizes); otherwise each client is included

@@ -28,8 +28,10 @@ class ExtendedGTB(ValuationAlgorithm):
     then each chunk draws and evaluates up to ``chunk_rounds`` coalition
     samples and re-solves the (cheap) constrained least-squares recovery over
     all samples so far.  Samples are evaluated one at a time through the
-    oracle's single-coalition path: the paper's budget charges *every* draw,
-    including repeats, so batch deduplication would change the accounting.
+    oracle's single-coalition path.  Batching a chunk's draws would not
+    change the accounting: the paper's budget is this estimator's own
+    counter, charged for *every* draw (repeats included), and the oracle
+    counts unique trainings either way.
 
     Parameters
     ----------

@@ -95,6 +95,7 @@ class IPSS(ValuationAlgorithm):
         self._last_partial_count: int = 0
         # (memo key, phase-2 sample, its planned per-client appearance counts)
         self._sample_memo: tuple | None = None
+        self._fold: _PhaseTwoFold | None = None
 
     # ------------------------------------------------------------------ #
     def k_star(self, n_clients: int) -> int:
@@ -177,18 +178,18 @@ class IPSS(ValuationAlgorithm):
             payload["utilities"].update(self._batch_utilities(utility, chunk))
         cursor += len(chunk)
         payload["partial_evaluated"] = cursor
-        evaluated_partial = partial[:cursor]
 
         # Fold the size-k* marginals against the evaluated part of the sample
-        # onto a *copy* of the phase-1 accumulators.  Rather than re-walking
-        # the entire C(n, k*) base stratum per chunk, only the pairs the
-        # sample can actually form are folded: each evaluated (k*+1)-sized
-        # coalition T yields one (T \ {i}, i) pair per member, and sorting
-        # the pairs by (base, client) reproduces the monolithic nested loop's
-        # (lexicographic base, ascending client) visit order restricted to
-        # its hits — so once the sample is fully evaluated the final chunk is
-        # bitwise-identical to the one-shot computation, at
-        # O(|sample|·k*·log|sample|) per chunk instead of O(C(n, k*)·n).
+        # onto a *copy* of the phase-1 accumulators.  Only the pairs the
+        # sample can form are folded: each evaluated (k*+1)-sized coalition T
+        # yields one (T \ {i}, i) pair per member, and in (base, client)
+        # order they reproduce the monolithic nested loop's (lexicographic
+        # base, ascending client) visit order restricted to its hits — so
+        # once the sample is fully evaluated the final chunk is
+        # bitwise-identical to the one-shot computation.  The pairs are
+        # sorted once per phase (``_PhaseTwoFold``); a chunk computes only
+        # its own contributions in Python, O(chunk·(k*+1)), then one NumPy
+        # pass over the evaluated prefix's pairs folds them.
         values = values.copy()
         counts = counts.copy()
         weight = (
@@ -199,23 +200,21 @@ class IPSS(ValuationAlgorithm):
         contrib_sum = np.zeros(n_clients)
         contrib_sumsq = np.zeros(n_clients)
         contrib_count = np.zeros(n_clients)
-        if evaluated_partial and k_star <= n_clients - 1:
-            pairs = [
-                (tuple(sorted(with_client - {client})), client, with_client)
-                for with_client in evaluated_partial
-                for client in with_client
-            ]
-            pairs.sort(key=lambda pair: (pair[0], pair[1]))
-            for base_members, client, with_client in pairs:
-                contribution = (
-                    payload["utilities"][with_client]
-                    - payload["utilities"][frozenset(base_members)]
-                )
-                values[client] += weight * contribution
-                counts[client] += 1
-                contrib_sum[client] += contribution
-                contrib_sumsq[client] += contribution * contribution
-                contrib_count[client] += 1
+        if cursor and k_star <= n_clients - 1:
+            fold = self._fold
+            if (
+                fold is None
+                or fold.sample is not partial
+                or fold.utilities is not payload["utilities"]
+            ):
+                fold = _PhaseTwoFold(partial, payload["utilities"], k_star + 1)
+                self._fold = fold
+            clients, contributions = fold.evaluated_pairs(cursor)
+            np.add.at(values, clients, weight * contributions)
+            np.add.at(contrib_sum, clients, contributions)
+            np.add.at(contrib_sumsq, clients, contributions * contributions)
+            contrib_count += np.bincount(clients, minlength=n_clients)
+            counts += contrib_count
         return StepResult(
             values=values,
             stderr=self._remaining_uncertainty(
@@ -295,23 +294,17 @@ class IPSS(ValuationAlgorithm):
         ``planned`` holds each client's appearance count in the sample.
         """
         remaining = planned - contrib_count
-        stderr = np.zeros(n_clients)
-        for client in range(n_clients):
-            if remaining[client] <= 0:
-                stderr[client] = 0.0
-            elif contrib_count[client] >= 2:
-                mean = contrib_sum[client] / contrib_count[client]
-                variance = max(
-                    0.0,
-                    (contrib_sumsq[client] - contrib_count[client] * mean * mean)
-                    / (contrib_count[client] - 1.0),
-                )
-                stderr[client] = weight * float(
-                    np.sqrt(remaining[client] * variance)
-                )
-            else:
-                stderr[client] = np.nan
-        return stderr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = contrib_sum / contrib_count
+            variance = (contrib_sumsq - contrib_count * mean * mean) / (
+                contrib_count - 1.0
+            )
+            # ``max(0.0, v)`` per client: +0.0 unless v > 0, NaN included.
+            variance = np.where(variance > 0.0, variance, 0.0)
+            residual = weight * np.sqrt(remaining * variance)
+        return np.where(
+            remaining <= 0, 0.0, np.where(contrib_count >= 2, residual, np.nan)
+        )
 
     def _estimate(
         self, utility: UtilityFunction, n_clients: int, rng: np.random.Generator
@@ -343,3 +336,55 @@ class IPSS(ValuationAlgorithm):
             "partial_stratum_samples": self._last_partial_count,
             "include_partial_stratum": self.include_partial_stratum,
         }
+
+
+class _PhaseTwoFold:
+    """The phase-2 sample's (base, client) pairs, sorted once into fold order.
+
+    Row ``t·w + j`` (``w = k* + 1``) is the pair of sample coalition ``t``
+    and its ``j``-th smallest member: ``clients`` holds that member and
+    ``contributions`` its marginal ``U(T) − U(T \\ {i})`` once ``t`` is
+    evaluated.  ``order`` is the ``np.lexsort`` of the rows by (sorted base
+    members, client), so the rows of the evaluated prefix — those below
+    ``cursor · w`` — taken in ``order`` are the per-pair loop's fold order.
+    The fold is tied to one sample and one utility table (by identity); a
+    resume in a fresh instance rebuilds it and refills the evaluated prefix.
+    """
+
+    def __init__(self, sample: list, utilities: dict, width: int) -> None:
+        self.sample = sample
+        self.utilities = utilities
+        self.width = width
+        members = np.array(
+            [sorted(coalition) for coalition in sample], dtype=np.intp
+        ).reshape(len(sample), width)
+        self.clients = members.ravel()
+        # Base column c of pair (t, j) is members[t, c] before j, else c + 1.
+        position = np.arange(width)
+        base_columns = [
+            np.where(
+                column < position, members[:, [column]], members[:, [column + 1]]
+            ).ravel()
+            for column in range(width - 1)
+        ]
+        self.order = np.lexsort((self.clients, *reversed(base_columns)))
+        self.contributions = np.empty(len(self.clients))
+        self.filled = 0
+
+    def evaluated_pairs(self, cursor: int) -> tuple[np.ndarray, np.ndarray]:
+        """Clients and contributions of the first ``cursor`` coalitions' pairs,
+        in fold order."""
+        width, utilities = self.width, self.utilities
+        if cursor > self.filled:
+            start = self.filled * width
+            self.contributions[start : cursor * width] = [
+                utilities[coalition] - utilities[coalition - {client}]
+                for coalition, row in zip(
+                    self.sample[self.filled : cursor],
+                    range(start, cursor * width, width),
+                )
+                for client in self.clients[row : row + width].tolist()
+            ]
+            self.filled = cursor
+        rows = self.order[self.order < cursor * width]
+        return self.clients[rows], self.contributions[rows]

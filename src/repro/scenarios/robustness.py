@@ -35,7 +35,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.metrics import rank_correlation
-from repro.scenarios.scenario import Scenario, resolve_scenario
+from repro.scenarios.scenario import resolve_scenario
 
 
 # --------------------------------------------------------------------------- #

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: default bucket upper bounds for duration metrics, in seconds (100 µs .. 60 s)
 SECONDS_BUCKETS: Tuple[float, ...] = (

@@ -255,8 +255,8 @@ def balanced_coalitions_of_size(
     while len(chosen) < budget:
         # Greedy pick: the `size` least-used clients, random tie-breaking.
         jitter = rng.random(n)
-        order = np.lexsort((jitter, counts))
-        members = frozenset(int(c) for c in order[:size])
+        picked = _least_used(counts, jitter, size)
+        members = frozenset(picked.tolist())
         if members in seen:
             # Escape duplicates by weighted sampling that still favours
             # under-represented clients.
@@ -267,15 +267,34 @@ def balanced_coalitions_of_size(
                 draw = rng.choice(n, size=size, replace=False, p=weights)
                 candidate = frozenset(int(c) for c in draw)
                 if candidate not in seen:
-                    members = candidate
+                    members, picked = candidate, draw
                     break
             if members is None:
                 break
         seen.add(members)
         chosen.append(members)
-        for member in members:
-            counts[member] += 1
+        counts[picked] += 1
     return chosen
+
+
+def _least_used(counts: np.ndarray, jitter: np.ndarray, size: int) -> np.ndarray:
+    """The ``size`` smallest ``(count, jitter)`` pairs, in ``np.lexsort`` order.
+
+    Counts are whole numbers and jitter lies in [0, 1), so the rounded key
+    ``counts + jitter`` never orders two pairs against their lexicographic
+    order; it can only tie them.  When the ``size``-th smallest key is unique
+    the ``np.argpartition`` selection is therefore exactly the lexsort prefix
+    — O(n) instead of O(n log n) — and only the ``size`` picked indices are
+    sorted, so the frozenset is built in the same insertion order.  A tie at
+    the boundary falls back to the full lexsort.
+    """
+    if size < len(counts):
+        key = counts + jitter
+        picked = key.argpartition(size - 1)[:size]
+        if np.count_nonzero(key == key[picked[-1]]) == 1:
+            picked.sort()
+            return picked[np.lexsort((jitter[picked], counts[picked]))]
+    return np.lexsort((jitter, counts))[:size]
 
 
 def client_appearance_counts(
