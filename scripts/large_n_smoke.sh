@@ -36,7 +36,7 @@ results = os.path.join(smoke_dir, "large", "results")
 cell = json.load(open(os.path.join(results, name)))["result"]
 
 n = 100
-gamma = 461  # ⌈100·ln 100⌉, the runner's default budget for n=100
+gamma = 461  # ⌈100·ln 100⌉, the pipeline's default budget for n=100
 assert len(cell["values"]) == n, f"expected {n} values, got {len(cell['values'])}"
 assert report["fl_trainings"] > 0
 assert cell["metadata"].get("stopped_early") is True, cell["metadata"]

@@ -34,14 +34,6 @@ from repro.experiments.specs import (
     available_tasks,
     register_task,
 )
-from repro.experiments.runner import (
-    AlgorithmComparison,
-    ComparisonRow,
-    SkippedAlgorithm,
-    build_algorithm_suite,
-    run_comparison,
-    run_spec,
-)
 from repro.experiments.pipeline import (
     ALGORITHM_BUILDERS,
     DEFAULT_ALGORITHMS,
@@ -68,12 +60,6 @@ __all__ = [
     "TaskSpec",
     "available_tasks",
     "register_task",
-    "AlgorithmComparison",
-    "ComparisonRow",
-    "SkippedAlgorithm",
-    "build_algorithm_suite",
-    "run_comparison",
-    "run_spec",
     "ALGORITHM_BUILDERS",
     "DEFAULT_ALGORITHMS",
     "ExperimentPlan",

@@ -7,6 +7,12 @@ renders them as text.  Tasks are described declaratively
 controlled by :class:`~repro.experiments.config.ExperimentScale`, and every
 figure accepts ``store=`` to persist trained coalition utilities across
 invocations (regenerating a figure against a warm store retrains nothing).
+
+Fig. 1(b) and Fig. 6 run the paper's whole line-up as an
+:class:`~repro.experiments.pipeline.ExperimentPlan` (:func:`figure1b_plan`,
+:func:`figure6_plan`) through :func:`~repro.experiments.pipeline.run_plan`
+in a throwaway run directory; call ``run_plan(figure6_plan(...), run_dir)``
+for a durable, resumable one.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ from repro.core import (
 )
 from repro.core.variance import contribution_variance
 from repro.experiments.config import ExperimentScale, sampling_rounds_for
-from repro.experiments.runner import run_spec
+from repro.experiments.pipeline import (
+    EXACT_ALGORITHMS,
+    ExperimentPlan,
+    paper_algorithms,
+    plan_rows,
+)
 from repro.experiments.specs import TaskSpec, scale_preset_name
 from repro.experiments.tasks import SYNTHETIC_SETUPS
 from repro.store import StoreLike
@@ -60,6 +71,19 @@ def _femnist_spec(
 # --------------------------------------------------------------------------- #
 # Fig. 1(b): time-vs-error scatter on FEMNIST with ten clients
 # --------------------------------------------------------------------------- #
+def figure1b_plan(
+    scale: Optional[ExperimentScale] = None,
+    n_clients: int = 10,
+    model: str = "mlp",
+    seed: int = 0,
+) -> ExperimentPlan:
+    """Fig. 1(b) as a plan: the paper's line-up on one femnist-like task."""
+    spec = _femnist_spec(scale or ExperimentScale.small(), n_clients, model, seed)
+    return ExperimentPlan(
+        tasks=(spec,), algorithms=paper_algorithms((model,)), name="figure1b"
+    )
+
+
 def figure1b(
     scale: Optional[ExperimentScale] = None,
     n_clients: int = 10,
@@ -68,17 +92,15 @@ def figure1b(
     store: StoreLike = None,
 ) -> list[dict]:
     """Motivating scatter: each algorithm's (time, error) point."""
-    scale = scale or ExperimentScale.small()
-    spec = _femnist_spec(scale, n_clients, model, seed)
-    comparison = run_spec(spec, store=store)
+    plan = figure1b_plan(scale, n_clients, model, seed)
     return [
         {
-            "algorithm": row.algorithm,
-            "time_s": row.elapsed_seconds,
-            "error_l2": row.relative_error,
+            "algorithm": row["algorithm"],
+            "time_s": row["time_s"],
+            "error_l2": row["error_l2"],
         }
-        for row in comparison.rows
-        if not row.is_exact
+        for _, row in plan_rows(plan, store)
+        if row["algorithm"] not in EXACT_ALGORITHMS
     ]
 
 
@@ -168,6 +190,32 @@ def convergence_curve(
 # --------------------------------------------------------------------------- #
 # Fig. 6: the five synthetic setups, MLP and CNN
 # --------------------------------------------------------------------------- #
+def figure6_plan(
+    scale: Optional[ExperimentScale] = None,
+    setups: Sequence[str] = SYNTHETIC_SETUPS,
+    models: Sequence[str] = ("mlp", "cnn"),
+    n_clients: int = 10,
+    seed: int = 0,
+) -> ExperimentPlan:
+    """Fig. 6 as a plan: a synthetic task per (setup, model), in row order."""
+    scale_name = scale_preset_name(scale or ExperimentScale.small())
+    tasks = [
+        TaskSpec(
+            kind="synthetic",
+            setup=setup,
+            n_clients=n_clients,
+            model=model,
+            scale=scale_name,
+            seed=seed,
+        )
+        for setup in setups
+        for model in models
+    ]
+    return ExperimentPlan(
+        tasks=tasks, algorithms=paper_algorithms(models), name="figure6"
+    )
+
+
 def figure6(
     scale: Optional[ExperimentScale] = None,
     setups: Sequence[str] = SYNTHETIC_SETUPS,
@@ -177,30 +225,17 @@ def figure6(
     store: StoreLike = None,
 ) -> list[dict]:
     """Time and error of every algorithm on the synthetic setups (a)–(e)."""
-    scale = scale or ExperimentScale.small()
-    rows: list[dict] = []
-    for setup in setups:
-        for model in models:
-            spec = TaskSpec(
-                kind="synthetic",
-                setup=setup,
-                n_clients=n_clients,
-                model=model,
-                scale=scale_preset_name(scale),
-                seed=seed,
-            )
-            comparison = run_spec(spec, store=store)
-            for row in comparison.rows:
-                rows.append(
-                    {
-                        "setup": setup,
-                        "model": model,
-                        "algorithm": row.algorithm,
-                        "time_s": row.elapsed_seconds,
-                        "error_l2": row.relative_error,
-                    }
-                )
-    return rows
+    plan = figure6_plan(scale, setups, models, n_clients, seed)
+    return [
+        {
+            "setup": spec.setup,
+            "model": spec.model,
+            "algorithm": row["algorithm"],
+            "time_s": row["time_s"],
+            "error_l2": row["error_l2"],
+        }
+        for spec, row in plan_rows(plan, store)
+    ]
 
 
 # --------------------------------------------------------------------------- #

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -96,10 +97,46 @@ DEFAULT_ALGORITHMS = (
     "IPSS",
 )
 
+#: the exact schemes: a task's rows are scored against MC-Shapley's values,
+#: and these rows carry no error of their own
+EXACT_ALGORITHMS = ("MC-Shapley", "Perm-Shapley")
+
+#: the paper's comparison line-up (Tables IV/V, Figs. 1b/6), in report order
+PAPER_ALGORITHMS = (
+    "Perm-Shapley",
+    "MC-Shapley",
+    "DIG-FL",
+    "Extended-TMC",
+    "Extended-GTB",
+    "CC-Shapley",
+    "GTG-Shapley",
+    "OR",
+    "lambda-MR",
+    "IPSS",
+)
+
+#: baselines that replay a parametric FL training history; tree models (xgb)
+#: have none, hence the "\" cells of the paper's Table V
+GRADIENT_ALGORITHMS = ("DIG-FL", "GTG-Shapley", "OR", "lambda-MR")
+
 
 def available_algorithms() -> list[str]:
     """Registered algorithm names, in registry order."""
     return list(ALGORITHM_BUILDERS)
+
+
+def paper_algorithms(models: Sequence[str], include_perm: bool = False) -> tuple:
+    """:data:`PAPER_ALGORITHMS` for a plan over the FL ``models``.
+
+    Perm-Shapley is factorially expensive, so it runs only on request.  A
+    plan whose models are all xgb drops the gradient-based baselines; in a
+    plan that mixes xgb with a parametric model they stay, and the pipeline
+    records their xgb cells as skipped.
+    """
+    dropped = set() if include_perm else {"Perm-Shapley"}
+    if all(model == "xgb" for model in models):
+        dropped.update(GRADIENT_ALGORITHMS)
+    return tuple(name for name in PAPER_ALGORITHMS if name not in dropped)
 
 
 def build_task_algorithm(spec: TaskSpec, algorithm_name: str, n_clients: int):
@@ -607,6 +644,25 @@ def resume_run(
     )
 
 
+def plan_rows(plan: ExperimentPlan, store: StoreLike = None) -> List[tuple]:
+    """Run ``plan`` in a throwaway run directory; its done rows, in plan order.
+
+    Returns ``(spec, row)`` pairs, ``row`` as in :attr:`RunReport.rows`.
+    Skipped cells (an algorithm inapplicable to the task's model) are left
+    out.  Nothing resumes a throwaway directory, so no cell is checkpointed.
+    The paper's table and figure functions run here; for a durable,
+    resumable campaign call :func:`run_plan` with a run directory of your own.
+    """
+    with tempfile.TemporaryDirectory(prefix=f"repro-{_slug(plan.name)}-") as run_dir:
+        report = run_plan(plan, run_dir, store=store, checkpoint_every=0)
+    per_task = len(plan.algorithms)  # one row per cell, task by task
+    return [
+        (plan.tasks[index // per_task], row)
+        for index, row in enumerate(report.rows)
+        if row["status"] == "done"
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # Cell execution
 # --------------------------------------------------------------------------- #
@@ -911,7 +967,7 @@ def _score_task_rows(
             continue
         result = payload["result"]
         values = np.asarray(result["values"], dtype=float)
-        is_exact = algorithm_name in ("MC-Shapley", "Perm-Shapley")
+        is_exact = algorithm_name in EXACT_ALGORITHMS
         error = None
         correlation = None
         if exact_values is not None and not is_exact:

@@ -2,14 +2,18 @@
 
 Both tables compare all ten algorithms across client counts {3, 6, 10} on a
 real-style dataset, reporting wall-clock time and the relative ℓ2 error
-against the exact MC-SV values.  Each (dataset, model, n) combination is a
-declarative :class:`~repro.experiments.specs.TaskSpec` run through
-:func:`~repro.experiments.runner.run_spec`; passing ``store=`` persists every
-trained coalition so regenerating the *same* table later retrains nothing
-(reuse is per task fingerprint, so a different client count or scale shares
-nothing — and timings/evaluation counts then reflect incremental cost, not
-the paper's per-algorithm accounting; see ``docs/store.md``).  The functions
-return a structured report (list of dict rows) and can render it as text;
+against the exact MC-SV values.  Each table is an
+:class:`~repro.experiments.pipeline.ExperimentPlan` (:func:`table4_plan`,
+:func:`table5_plan`): one declarative task per (model, n), the paper's
+line-up on each.  :func:`table4`/:func:`table5` run it through
+:func:`~repro.experiments.pipeline.run_plan` in a throwaway run directory;
+for a durable, resumable table, call ``run_plan(table4_plan(...), run_dir)``
+yourself.  Passing ``store=`` persists every trained coalition so
+regenerating the *same* table later retrains nothing (reuse is per task
+fingerprint, so a different client count or scale shares nothing — and
+timings/evaluation counts then reflect incremental cost, not the paper's
+per-algorithm accounting; see ``docs/store.md``).  The functions return a
+structured report (list of dict rows) and can render it as text;
 EXPERIMENTS.md records the outputs next to the paper's numbers.
 """
 
@@ -18,39 +22,58 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import ExperimentScale
+from repro.experiments.pipeline import ExperimentPlan, paper_algorithms, plan_rows
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_spec
 from repro.experiments.specs import TaskSpec, scale_preset_name as _scale_name
 from repro.store import StoreLike
 
 
-def _comparison_rows(
-    spec: TaskSpec,
-    dataset: str,
-    include_gradient: bool,
+def _table_plan(
+    name: str,
+    kind: str,
+    scale: Optional[ExperimentScale],
+    client_counts: Sequence[int],
+    models: Sequence[str],
     include_perm: bool,
-    store: StoreLike = None,
-) -> list[dict]:
-    comparison = run_spec(
-        spec,
-        store=store,
-        include_perm=include_perm,
-        include_gradient=include_gradient,
+    seed: int,
+) -> ExperimentPlan:
+    scale_name = _scale_name(scale or ExperimentScale.small())
+    tasks = [
+        TaskSpec(kind=kind, n_clients=n, model=model, scale=scale_name, seed=seed)
+        for model in models
+        for n in client_counts
+    ]
+    return ExperimentPlan(
+        tasks=tasks, algorithms=paper_algorithms(models, include_perm), name=name
     )
-    rows = []
-    for row in comparison.rows:
-        rows.append(
-            {
-                "dataset": dataset,
-                "model": spec.model,
-                "n": spec.n_clients,
-                "algorithm": row.algorithm,
-                "time_s": row.elapsed_seconds,
-                "evaluations": row.utility_evaluations,
-                "error_l2": row.relative_error,
-            }
-        )
-    return rows
+
+
+def _table_rows(plan: ExperimentPlan, dataset: str, store: StoreLike) -> list[dict]:
+    return [
+        {
+            "dataset": dataset,
+            "model": spec.model,
+            "n": spec.n_clients,
+            "algorithm": row["algorithm"],
+            "time_s": row["time_s"],
+            "evaluations": row["evaluations"],
+            "error_l2": row["error_l2"],
+        }
+        for spec, row in plan_rows(plan, store)
+    ]
+
+
+def table4_plan(
+    scale: Optional[ExperimentScale] = None,
+    client_counts: Sequence[int] = (3, 6, 10),
+    models: Sequence[str] = ("mlp", "cnn"),
+    include_perm: bool = False,
+    seed: int = 0,
+) -> ExperimentPlan:
+    """Table IV as a plan: a femnist-like task per (model, n), in row order."""
+    return _table_plan(
+        "table4", "femnist", scale, client_counts, models, include_perm, seed
+    )
 
 
 def table4(
@@ -68,27 +91,21 @@ def table4(
     (very slow; disabled by default).  ``store`` persists trained coalition
     utilities across invocations (values are unchanged).
     """
-    scale = scale or ExperimentScale.small()
-    rows: list[dict] = []
-    for model in models:
-        for n_clients in client_counts:
-            spec = TaskSpec(
-                kind="femnist",
-                n_clients=n_clients,
-                model=model,
-                scale=_scale_name(scale),
-                seed=seed,
-            )
-            rows.extend(
-                _comparison_rows(
-                    spec,
-                    dataset="femnist-like",
-                    include_gradient=True,
-                    include_perm=include_perm,
-                    store=store,
-                )
-            )
-    return rows
+    plan = table4_plan(scale, client_counts, models, include_perm, seed)
+    return _table_rows(plan, "femnist-like", store)
+
+
+def table5_plan(
+    scale: Optional[ExperimentScale] = None,
+    client_counts: Sequence[int] = (3, 6, 10),
+    models: Sequence[str] = ("mlp", "xgb"),
+    include_perm: bool = False,
+    seed: int = 0,
+) -> ExperimentPlan:
+    """Table V as a plan: an adult-like task per (model, n), in row order."""
+    return _table_plan(
+        "table5", "adult", scale, client_counts, models, include_perm, seed
+    )
 
 
 def table5(
@@ -106,28 +123,8 @@ def table5(
     paper's table.  ``store`` persists trained coalition utilities across
     invocations.
     """
-    scale = scale or ExperimentScale.small()
-    rows: list[dict] = []
-    for model in models:
-        include_gradient = model != "xgb"
-        for n_clients in client_counts:
-            spec = TaskSpec(
-                kind="adult",
-                n_clients=n_clients,
-                model=model,
-                scale=_scale_name(scale),
-                seed=seed,
-            )
-            rows.extend(
-                _comparison_rows(
-                    spec,
-                    dataset="adult-like",
-                    include_gradient=include_gradient,
-                    include_perm=include_perm,
-                    store=store,
-                )
-            )
-    return rows
+    plan = table5_plan(scale, client_counts, models, include_perm, seed)
+    return _table_rows(plan, "adult-like", store)
 
 
 def render_table(rows: list[dict], title: str) -> str:

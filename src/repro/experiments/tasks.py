@@ -70,8 +70,8 @@ def _model_factory(
     """Build a zero-argument factory for the requested FL model family.
 
     Factories are :func:`functools.partial` objects rather than lambdas so
-    they pickle — which is what lets the ``process`` executor backend ship a
-    task's evaluator to worker processes.
+    they pickle: a task's evaluator, model factory included, must survive a
+    trip to another process (``tests/test_picklability.py``, rule RPR004).
     """
     if model == "mlp":
         # Small batches keep the number of SGD steps per FL round high enough

@@ -326,13 +326,10 @@ class BatchUtilityOracle:
 
     def set_executor(self, executor: ExecutorLike) -> None:
         """Switch the batch backend: a name, an instance, or ``None`` (serial)."""
-        previous = self._executor
         resolved = make_executor(executor)
         resolved.set_telemetry(self._telemetry)
         with self._lock:
             self._executor = resolved
-        if previous is not None and previous is not resolved:
-            previous.close()  # release any workers the old backend held
 
     @property
     def telemetry(self) -> Optional[Telemetry]:
@@ -354,13 +351,13 @@ class BatchUtilityOracle:
             self._store.set_telemetry(telemetry)
 
     def close(self) -> None:
-        """Release the executor's workers and any store this oracle opened.
+        """Close any store this oracle opened.
 
         A store that was passed in as a path (and
         therefore opened — and owned — by this oracle) is closed for good.
         Stores passed in as instances belong to the caller and are left open.
+        The memo survives, so the oracle still answers what it has seen.
         """
-        self._executor.close()
         if self._owns_store:
             self.attach_store(None)
 

@@ -68,9 +68,6 @@ class CoalitionExecutor(abc.ABC):
         """
         self.telemetry = telemetry
 
-    def close(self) -> None:
-        """Release any worker resources (no-op for stateless executors)."""
-
 
 def _timed(evaluator: Evaluator, telemetry: "Telemetry", coalition: frozenset) -> float:
     """One in-process evaluation, observed as ``utility.eval_seconds``."""

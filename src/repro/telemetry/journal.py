@@ -4,9 +4,9 @@ Every telemetry record of a run — spans, metric flushes, annotations — is on
 JSON line in ``<run-dir>/telemetry/journal.jsonl``.  Writes are single
 ``O_APPEND`` appends of whole lines, the same atomicity argument the JSONL
 utility store relies on (POSIX guarantees small appends interleave as whole
-lines, never tear), so executor worker *processes* can append to the same
-journal as the parent run: the journal object pickles down to its path and
-re-opens its own handle lazily on first write in the worker — and re-opens
+lines, never tear), so another *process* can append to the same journal as
+the parent run: the journal object pickles down to its path and re-opens its
+own handle lazily on first write in that process — and re-opens
 after a ``fork()`` as well (handle sharing across a fork would interleave
 buffered partial lines).
 
@@ -38,8 +38,8 @@ class RunJournal:
 
     The journal is identified by its *path*; the open handle is an
     implementation detail that is dropped on pickle and recreated per
-    process, so a journal captured inside a pickled evaluator (the process
-    executor backend) writes to the same file as the parent.
+    process, so a journal captured inside a pickled evaluator and unpickled
+    in another process writes to the same file as the parent.
     """
 
     def __init__(self, path: str) -> None:

@@ -13,7 +13,6 @@ from repro.experiments import (
     load_manifest,
     resume_run,
     run_plan,
-    run_spec,
 )
 from repro.experiments.pipeline import ALGORITHM_BUILDERS
 from repro.fl import CoalitionUtility
@@ -84,14 +83,6 @@ class TestTaskSpec:
         with utility:
             assert info["n_clients"] == 4
             assert len(info["null_clients"]) == 1
-
-
-class TestRunSpec:
-    def test_run_spec_produces_comparison(self):
-        comparison = run_spec(TINY_SPEC, algorithms=None, include_gradient=False)
-        names = [row.algorithm for row in comparison.rows]
-        assert "IPSS" in names and "MC-Shapley" in names
-        assert comparison.task_label == TINY_SPEC.label()
 
 
 class TestExperimentPlan:

@@ -49,3 +49,12 @@ class TestExamples:
         run_example("reproduce_paper.py", ["figure4", "--scale", "tiny"])
         output = capsys.readouterr().out
         assert "Fig. 4" in output
+
+    def test_reproduce_paper_cli_tiny_figure1b(self, capsys):
+        """Fig. 1(b) runs the whole line-up as a plan through run_plan."""
+        run_example("reproduce_paper.py", ["figure1b", "--scale", "tiny"])
+        output = capsys.readouterr().out
+        assert "Fig. 1(b)" in output
+        for algorithm in ("IPSS", "Extended-TMC", "DIG-FL"):
+            assert algorithm in output
+        assert "MC-Shapley" not in output  # the reference is not a point

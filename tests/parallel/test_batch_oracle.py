@@ -543,36 +543,42 @@ class TestConcurrentAccounting:
         return oracle, space
 
 
-class ClosingExecutor(SerialExecutor):
-    """Serial executor that counts its ``close`` calls."""
-
-    def __init__(self):
-        self.closed = 0
-
-    def close(self):
-        self.closed += 1
-
-
 class TestOracleContextManager:
-    def test_with_statement_closes_executor(self):
-        executor = ClosingExecutor()
-        with BatchUtilityOracle(
-            CountingGame(), n_clients=4, executor=executor
-        ) as oracle:
+    def test_store_opened_from_path_is_closed(self, tmp_path):
+        path = str(tmp_path / "utilities.sqlite")
+        with BatchUtilityOracle(CountingGame(), n_clients=4, store=path) as oracle:
             oracle.evaluate_batch([{0}, {1}, {0, 1}])
-            assert oracle.evaluations == 3
-        assert executor.closed == 1  # workers released on exit
+            store = oracle.store
+        assert oracle.store is None
+        assert store.closed  # the oracle opened it, so the oracle closed it
+        with SqliteUtilityStore(path) as reopened:
+            assert len(reopened) == 3  # written through before the close
 
-    def test_exception_inside_with_still_closes(self):
-        executor = ClosingExecutor()
-        oracle = BatchUtilityOracle(CountingGame(), n_clients=4, executor=executor)
+    def test_exception_inside_with_still_closes(self, tmp_path):
+        oracle = BatchUtilityOracle(
+            CountingGame(), n_clients=4, store=str(tmp_path / "utilities.sqlite")
+        )
+        store = oracle.store
         with pytest.raises(RuntimeError):
             with oracle:
                 oracle.evaluate_batch([{0}, {1}])
                 raise RuntimeError("boom")
-        assert executor.closed == 1
+        assert oracle.store is None
+        assert store.closed
 
-    def test_reusable_after_close(self):
-        with BatchUtilityOracle(CountingGame(), n_clients=4) as oracle:
+    def test_store_passed_as_instance_stays_open(self):
+        store = MemoryUtilityStore()
+        with BatchUtilityOracle(CountingGame(), n_clients=4, store=store) as oracle:
+            oracle.evaluate_batch([{0}, {1}])
+        assert not store.closed  # the caller's store, the caller's to close
+        assert oracle.store is store
+        assert len(store) == 2
+
+    def test_memo_survives_close(self, tmp_path):
+        game = CountingGame()
+        path = str(tmp_path / "utilities.sqlite")
+        with BatchUtilityOracle(game, n_clients=4, store=path) as oracle:
             oracle.utility({0})
-        assert oracle.utility({0}) == 1.0  # the memo survives close
+        assert oracle.utility({0}) == 1.0  # answered after its store closed
+        assert game.calls == [frozenset({0})]
+        assert oracle.evaluations == 1
